@@ -8,8 +8,8 @@ case-only response on the foreground-specific latent component.
 from .errors import (ConstantTruth, ContrastiveRegressionError, DegenerateData,
                      FactorizationError, MalformedFile, NonFiniteObjective,
                      RankDeficiencyError, ShapeMismatch, TooFewSamples, ZeroBeta)
-from .model import (Dataset, GradientSet, LatentPosterior, LatentState,
-                    ModelParams, PredictiveDist, Workspace, build_workspace,
+from .model import (Dataset, GradientSet, LatentPosterior, ModelParams,
+                    PredictiveDist, Workspace, build_workspace,
                     contrastive_residuals, finite_diff_gradient,
                     grad_log_likelihood, latent_posterior, log_likelihood,
                     predict)
@@ -24,7 +24,7 @@ __all__ = [
     "ConstantTruth", "ContrastiveRegressionError", "DegenerateData",
     "FactorizationError", "MalformedFile", "NonFiniteObjective",
     "RankDeficiencyError", "ShapeMismatch", "TooFewSamples", "ZeroBeta",
-    "Dataset", "GradientSet", "LatentPosterior", "LatentState", "ModelParams",
+    "Dataset", "GradientSet", "LatentPosterior", "ModelParams",
     "PredictiveDist", "Workspace", "build_workspace", "contrastive_residuals",
     "finite_diff_gradient", "grad_log_likelihood", "latent_posterior",
     "log_likelihood", "predict",

@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 malformed input file, 3 shape mismatch,
 """
 
 import argparse
+import csv
 import json
 import sys
 
@@ -15,9 +16,9 @@ from . import io
 from .errors import (ConstantTruth, DegenerateData, FactorizationError,
                      MalformedFile, NonFiniteObjective, RankDeficiencyError,
                      ShapeMismatch, TooFewSamples, ZeroBeta)
-from .model import (Dataset, ModelParams, build_workspace, finite_diff_gradient,
-                    grad_log_likelihood)
-from .optimizer import FitConfig, FitResult, fit
+from .model import (Dataset, ModelParams, finite_diff_gradient, grad_log_likelihood,
+                    predict_rows)
+from .optimizer import FitConfig, fit
 from .select import cross_validate, rank_features
 from .simulate import GenConfig, LinesConfig, generate, generate_lines
 
@@ -78,20 +79,20 @@ def cmd_fit(args):
 def cmd_predict(args):
     params, center_x, center_r, _, names, meta = io.load_model(args.model)
     X, in_names, _ = io.read_table(args.input)
-    if X.shape[1] != params.p:
-        raise ShapeMismatch(f"model has p={params.p} but input has {X.shape[1]} columns")
     if names is not None and in_names != list(names):
         raise ShapeMismatch("input feature columns disagree with the model's")
-    ws = build_workspace(params)
-    means = (X - center_x) @ ws.pred_coef + center_r
-    io.write_predictions(args.out, means, ws.pred_var)
+    means, var = predict_rows(params, X, center_x, center_r)
+    io.write_predictions(args.out, means, var)
     return EXIT_OK
 
 
 def cmd_cv(args):
     data = _load_dataset(args)
-    d_grid = [int(tok) for tok in args.d_grid.split(",") if tok]
-    config = _fit_config(args, d_grid[0])
+    try:
+        d_grid = [int(tok) for tok in args.d_grid.split(",") if tok]
+    except ValueError as exc:
+        raise ShapeMismatch(f"--d-grid must be comma-separated integers: {exc}") from exc
+    config = _fit_config(args, 1)      # cross_validate sets d for each grid entry
     report = cross_validate(data, d_grid, args.k, config)
     doc = {
         "d_grid": report.d_grid,
@@ -104,7 +105,6 @@ def cmd_cv(args):
     }
     print(json.dumps(doc))
     if args.out_csv:
-        import csv
         with open(args.out_csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["d", "fold", "train_r2", "test_r2"])
@@ -185,15 +185,9 @@ def cmd_gradcheck(args):
 
 
 def cmd_rank(args):
-    params, center_x, center_r, alpha, names, meta = io.load_model(args.model)
-    result = FitResult(params=params, center_x=center_x, center_r=center_r,
-                       ll_trace=[meta.get("final_ll", np.nan) or np.nan],
-                       converged=bool(meta.get("converged", False)),
-                       iterations=int(meta.get("iterations", 0)),
-                       best_restart=0, wall_time_seconds=0.0)
-    ranking = rank_features(result, names,
+    params, _, _, _, names, _ = io.load_model(args.model)
+    ranking = rank_features(params, names,
                             canonical_rotation=not args.no_canonical_rotation)
-    import csv
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["rank", "feature", "score"])

@@ -23,9 +23,15 @@ def read_table(path, response_col=None):
     """Read a feature table; returns (matrix, feature_names, responses or None)."""
     try:
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            rows = list(reader)
     except OSError as exc:
         raise MalformedFile(path, 0, str(exc)) from exc
+    except csv.Error as exc:
+        raise MalformedFile(path, reader.line_num, f"invalid CSV: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(path, _undecodable_line(path, exc.encoding),
+                            f"cannot decode as {exc.encoding}: {exc.reason}") from exc
     if not rows:
         raise MalformedFile(path, 1, "empty file")
     header = rows[0]
@@ -59,6 +65,17 @@ def read_table(path, response_col=None):
     matrix = np.asarray(data, float).reshape(len(data), len(names))
     responses = np.asarray(resp, float) if ridx is not None else None
     return matrix, names, responses
+
+
+def _undecodable_line(path, encoding):
+    """First line that encoding cannot decode; the text reader decodes in blocks, not lines."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode(encoding)
+            except UnicodeDecodeError:
+                return lineno
+    return 0
 
 
 def write_table(path, matrix, names, responses=None, response_col="response"):
@@ -132,10 +149,11 @@ def load_model(path):
         alpha = float(doc["alpha"])
         names = doc.get("feature_names")
         meta = doc.get("fit", {})
+        p, d = doc["p"], doc["d"]
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedFile(path, 1, f"invalid model document: {exc}") from exc
-    if params.S.shape != (doc["p"], doc["d"]):
-        raise ShapeMismatch(f"S shape {params.S.shape} does not match p={doc['p']}, d={doc['d']}")
+    if params.S.shape != (p, d):
+        raise ShapeMismatch(f"S shape {params.S.shape} does not match p={p}, d={d}")
     if center_x.shape != (params.p,):
         raise ShapeMismatch("center_x length does not match p")
     params.validate()

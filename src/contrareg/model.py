@@ -16,7 +16,7 @@ All covariance solves go through Cholesky factors; dense inverses of the
 p x p matrices never appear here (only in test oracles).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular, LinAlgError
@@ -145,16 +145,39 @@ class LatentPosterior:
     t_cov: np.ndarray
 
 
-@dataclass(frozen=True)
-class LatentState:
-    """One draw of the latent variables used by the simulator."""
+# ---------------------------------------------------------------------------
+# Packed parameter vector (unconstrained parameterization)
+# ---------------------------------------------------------------------------
 
-    z_a: np.ndarray
-    z_b: np.ndarray
-    t: np.ndarray
-    eps_a: np.ndarray
-    eps_b: np.ndarray
-    eta: float
+def _pack(params):
+    return np.concatenate([
+        np.asarray(params.S, float).ravel(),
+        np.asarray(params.W, float).ravel(),
+        np.asarray(params.beta, float),
+        [np.log(params.sigma2), np.log(params.tau2)],
+    ])
+
+
+def _blocks(theta, p, d):
+    """The S, W and beta blocks of a packed vector (views)."""
+    k = p * d
+    return theta[:k].reshape(p, d), theta[k:2 * k].reshape(p, d), theta[2 * k:2 * k + d]
+
+
+def _unpack(theta, p, d):
+    S, W, beta = _blocks(theta, p, d)
+    return ModelParams(S=S, W=W, beta=beta,
+                       sigma2=float(np.exp(theta[-2])), tau2=float(np.exp(theta[-1])))
+
+
+def _grad_vector(params, grad):
+    # chain rule: d/d log(v) = v * d/dv
+    return np.concatenate([
+        grad.dS.ravel(),
+        grad.dW.ravel(),
+        grad.dbeta,
+        [params.sigma2 * grad.dsigma2, params.tau2 * grad.dtau2],
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +229,7 @@ def build_workspace(params: ModelParams) -> Workspace:
 # ---------------------------------------------------------------------------
 
 def _check_pair(params, data, alpha):
-    params.validate()
+    # params are validated by build_workspace, on every evaluation
     data.validate()
     if data.p != params.p:
         raise ShapeMismatch(f"data has p={data.p} but params have p={params.p}")
@@ -224,16 +247,15 @@ def _evaluate(params, data, alpha, want_grad):
     S = np.asarray(params.S, float)
     W = np.asarray(params.W, float)
     beta = np.asarray(params.beta, float)
-    sigma2, tau2 = float(params.sigma2), float(params.tau2)
     X = np.asarray(data.X, float)
     r = np.asarray(data.r, float)
-    n, p, d = data.n, params.p, params.d
+    n, p = data.n, params.p
 
     ws = build_workspace(params)
     L_P, L_Q, A = ws.chol_P, ws.chol_Q, ws.A
 
     u = A @ beta                                   # A beta
-    s = tau2 + float(beta @ u)                     # predictive variance
+    s = ws.pred_var                                # tau2 + beta' A beta
     v = ws.pred_coef                               # P^-1 W A beta
 
     means = X @ v
@@ -317,9 +339,7 @@ def log_likelihood(params: ModelParams, data: Dataset, alpha: float = 1.0) -> fl
 
 def grad_log_likelihood(params: ModelParams, data: Dataset, alpha: float = 1.0) -> GradientSet:
     """Analytic gradient of log_likelihood w.r.t. (S, W, beta, sigma2, tau2)."""
-    _check_pair(params, data, alpha)
-    _, grad = _evaluate(params, data, alpha, want_grad=True)
-    return grad
+    return log_likelihood_and_grad(params, data, alpha)[1]
 
 
 def log_likelihood_and_grad(params, data, alpha=1.0):
@@ -332,83 +352,64 @@ def finite_diff_gradient(params: ModelParams, data: Dataset, alpha: float = 1.0,
                          step: float = 1e-5) -> GradientSet:
     """Central-difference gradient of log_likelihood (verification oracle).
 
-    S, W and beta are perturbed additively; sigma2 and tau2 are perturbed on
-    the log scale to preserve positivity, and the resulting log-scale
-    derivative is divided by the variance to return a natural-scale value.
+    Each entry of the packed vector is perturbed by +-step: S, W and beta
+    additively, sigma2 and tau2 on the log scale to preserve positivity.  The
+    log-scale derivatives are divided by the variances to return
+    natural-scale values.
     """
     if step <= 0:
         raise ShapeMismatch(f"step must be positive, got {step}")
     _check_pair(params, data, alpha)
-
-    def ll_at(S, W, beta, sigma2, tau2):
-        q = ModelParams(S=S, W=W, beta=beta, sigma2=sigma2, tau2=tau2)
-        return _evaluate(q, data, alpha, want_grad=False)[0]
-
-    S0 = np.asarray(params.S, float).copy()
-    W0 = np.asarray(params.W, float).copy()
-    b0 = np.asarray(params.beta, float).copy()
-
-    def central(plus_args, minus_args):
-        return (ll_at(*plus_args) - ll_at(*minus_args)) / (2.0 * step)
-
-    dS = np.zeros_like(S0)
-    for idx in np.ndindex(*S0.shape):
-        Sp, Sm = S0.copy(), S0.copy()
-        Sp[idx] += step
-        Sm[idx] -= step
-        dS[idx] = central((Sp, W0, b0, params.sigma2, params.tau2),
-                          (Sm, W0, b0, params.sigma2, params.tau2))
-    dW = np.zeros_like(W0)
-    for idx in np.ndindex(*W0.shape):
-        Wp, Wm = W0.copy(), W0.copy()
-        Wp[idx] += step
-        Wm[idx] -= step
-        dW[idx] = central((S0, Wp, b0, params.sigma2, params.tau2),
-                          (S0, Wm, b0, params.sigma2, params.tau2))
-    dbeta = np.zeros_like(b0)
-    for k in range(b0.size):
-        bp, bm = b0.copy(), b0.copy()
-        bp[k] += step
-        bm[k] -= step
-        dbeta[k] = central((S0, W0, bp, params.sigma2, params.tau2),
-                           (S0, W0, bm, params.sigma2, params.tau2))
-
-    dlog_sigma2 = central((S0, W0, b0, params.sigma2 * np.exp(step), params.tau2),
-                          (S0, W0, b0, params.sigma2 * np.exp(-step), params.tau2))
-    dlog_tau2 = central((S0, W0, b0, params.sigma2, params.tau2 * np.exp(step)),
-                        (S0, W0, b0, params.sigma2, params.tau2 * np.exp(-step)))
+    params.validate()          # _pack would silently accept mismatched blocks
+    p, d = params.p, params.d
+    theta = _pack(params)
+    g = np.empty_like(theta)
+    for i in range(theta.size):
+        plus, minus = theta.copy(), theta.copy()
+        plus[i] += step
+        minus[i] -= step
+        g[i] = (_evaluate(_unpack(plus, p, d), data, alpha, want_grad=False)[0]
+                - _evaluate(_unpack(minus, p, d), data, alpha, want_grad=False)[0]) / (2.0 * step)
+    dS, dW, dbeta = _blocks(g, p, d)
     return GradientSet(dS=dS, dW=dW, dbeta=dbeta,
-                       dsigma2=float(dlog_sigma2 / params.sigma2),
-                       dtau2=float(dlog_tau2 / params.tau2))
+                       dsigma2=float(g[-2] / params.sigma2),
+                       dtau2=float(g[-1] / params.tau2))
 
 
 # ---------------------------------------------------------------------------
 # Prediction, latent posterior, residuals
 # ---------------------------------------------------------------------------
 
-def predict(params: ModelParams, x_star, workspace: Workspace = None) -> PredictiveDist:
-    """Predictive law of r given a new foreground observation x."""
-    x = np.asarray(x_star, float)
-    if x.shape != (params.p,):
-        raise ShapeMismatch(f"x_star must have length p={params.p}, got shape {x.shape}")
-    ws = workspace if workspace is not None else build_workspace(params)
-    return PredictiveDist(mean=float(ws.pred_coef @ x), variance=ws.pred_var)
-
-
-def latent_posterior(params: ModelParams, x, workspace: Workspace = None) -> LatentPosterior:
-    """Posterior N(A W' P^-1 x, A) of the foreground-specific latent t."""
-    x = np.asarray(x_star_to_vec(x, params.p), float)
-    ws = workspace if workspace is not None else build_workspace(params)
-    W = np.asarray(params.W, float)
-    t_mean = ws.A @ (W.T @ _chol_solve(ws.chol_P, x))
-    return LatentPosterior(t_mean=t_mean, t_cov=ws.A)
-
-
-def x_star_to_vec(x, p):
+def _row(x, p):
     x = np.asarray(x, float)
     if x.shape != (p,):
         raise ShapeMismatch(f"x must have length p={p}, got shape {x.shape}")
     return x
+
+
+def predict(params: ModelParams, x_star, workspace: Workspace = None) -> PredictiveDist:
+    """Predictive law of r given a new foreground observation x."""
+    x = _row(x_star, params.p)
+    ws = workspace if workspace is not None else build_workspace(params)
+    return PredictiveDist(mean=float(ws.pred_coef @ x), variance=ws.pred_var)
+
+
+def predict_rows(params: ModelParams, X, center_x, center_r):
+    """Predictive means and (constant) variance for rows of X, re-applying the fit's centering."""
+    X = np.asarray(X, float)
+    if X.ndim != 2 or X.shape[1] != params.p:
+        raise ShapeMismatch(f"X must have p={params.p} columns, got shape {X.shape}")
+    ws = build_workspace(params)
+    return (X - center_x) @ ws.pred_coef + center_r, ws.pred_var
+
+
+def latent_posterior(params: ModelParams, x, workspace: Workspace = None) -> LatentPosterior:
+    """Posterior N(A W' P^-1 x, A) of the foreground-specific latent t."""
+    x = _row(x, params.p)
+    ws = workspace if workspace is not None else build_workspace(params)
+    W = np.asarray(params.W, float)
+    t_mean = ws.A @ (W.T @ _chol_solve(ws.chol_P, x))
+    return LatentPosterior(t_mean=t_mean, t_cov=ws.A)
 
 
 def contrastive_residuals(params: ModelParams, X, allow_rank_deficient: bool = False):

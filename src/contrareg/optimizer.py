@@ -9,14 +9,14 @@ and re-applied at prediction time.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (DegenerateData, FactorizationError, NonFiniteObjective,
                      ShapeMismatch)
-from .model import (Dataset, ModelParams, build_workspace,
-                    log_likelihood_and_grad, _evaluate)
+from .model import (Dataset, ModelParams, predict_rows, _evaluate, _grad_vector,
+                    _pack, _unpack)
 
 MODES = ("line_search_ascent", "adaptive_moment")
 INITS = ("random_normal", "pca_warm_start")
@@ -64,7 +64,7 @@ class FitResult:
     iterations: int
     best_restart: int
     wall_time_seconds: float
-    grad_inf_norm: float = np.nan
+    grad_inf_norm: float
 
     @property
     def final_ll(self):
@@ -72,45 +72,7 @@ class FitResult:
 
     def predict(self, X):
         """Predictive means and (constant) variance for rows of X."""
-        X = np.asarray(X, float)
-        if X.ndim != 2 or X.shape[1] != self.params.p:
-            raise ShapeMismatch(f"X must have p={self.params.p} columns, got {X.shape}")
-        ws = build_workspace(self.params)
-        means = (X - self.center_x) @ ws.pred_coef + self.center_r
-        return means, ws.pred_var
-
-
-# ---------------------------------------------------------------------------
-# Parameter vector packing (unconstrained parameterization)
-# ---------------------------------------------------------------------------
-
-def _pack(params):
-    return np.concatenate([
-        np.asarray(params.S, float).ravel(),
-        np.asarray(params.W, float).ravel(),
-        np.asarray(params.beta, float),
-        [np.log(params.sigma2), np.log(params.tau2)],
-    ])
-
-
-def _unpack(theta, p, d):
-    k = p * d
-    S = theta[:k].reshape(p, d)
-    W = theta[k:2 * k].reshape(p, d)
-    beta = theta[2 * k:2 * k + d]
-    sigma2 = float(np.exp(theta[-2]))
-    tau2 = float(np.exp(theta[-1]))
-    return ModelParams(S=S, W=W, beta=beta, sigma2=sigma2, tau2=tau2)
-
-
-def _grad_vector(params, grad):
-    # chain rule: d/d log(v) = v * d/dv
-    return np.concatenate([
-        grad.dS.ravel(),
-        grad.dW.ravel(),
-        grad.dbeta,
-        [params.sigma2 * grad.dsigma2, params.tau2 * grad.dtau2],
-    ])
+        return predict_rows(self.params, X, self.center_x, self.center_r)
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +127,13 @@ def initialize(data: Dataset, config: FitConfig) -> ModelParams:
 # Single-restart solvers
 # ---------------------------------------------------------------------------
 
+def _small_change_streak(streak, ll_new, ll, tol):
+    """Count consecutive steps whose relative change of the objective is below tol."""
+    return streak + 1 if abs(ll_new - ll) / (abs(ll) + 1.0) < tol else 0
+
+
 def _run_line_search(fun, theta0, config):
-    ll, g = fun(theta0, want_grad=True)
+    ll, g = fun(theta0)
     if not np.isfinite(ll):
         raise NonFiniteObjective("objective non-finite at the starting point")
     theta = theta0
@@ -179,7 +146,7 @@ def _run_line_search(fun, theta0, config):
         st = step
         while st >= _STEP_MIN:
             cand = theta + st * g
-            ll_c, g_c = fun(cand, want_grad=True)
+            ll_c, g_c = fun(cand)
             if np.isfinite(ll_c) and ll_c > ll:
                 accepted = True
                 break
@@ -188,18 +155,14 @@ def _run_line_search(fun, theta0, config):
             # no ascent direction step improves the objective: stationary
             converged = True
             break
-        rel = abs(ll_c - ll) / (abs(ll) + 1.0)
+        streak = _small_change_streak(streak, ll_c, ll, config.tol)
         theta, ll, g = cand, ll_c, g_c
         trace.append(ll)
         step = min(st * 2.0, _STEP_MAX)
-        if rel < config.tol:
-            streak += 1
-            if streak >= _PATIENCE:
-                converged = True
-                break
-        else:
-            streak = 0
-    return theta, trace, converged
+        if streak >= _PATIENCE:
+            converged = True
+            break
+    return theta, g, trace, converged
 
 
 def _run_adaptive_moment(fun, theta0, config):
@@ -207,7 +170,7 @@ def _run_adaptive_moment(fun, theta0, config):
     lr = config.step0
     for attempt in range(4):
         theta = theta0.copy()
-        ll, g = fun(theta, want_grad=True)
+        ll, g = fun(theta)
         if not np.isfinite(ll):
             raise NonFiniteObjective("objective non-finite at the starting point")
         m = np.zeros_like(theta)
@@ -222,22 +185,18 @@ def _run_adaptive_moment(fun, theta0, config):
             mhat = m / (1.0 - b1 ** it)
             vhat = v / (1.0 - b2 ** it)
             theta = theta + lr * mhat / (np.sqrt(vhat) + eps)
-            ll_new, g = fun(theta, want_grad=True)
+            ll_new, g = fun(theta)
             if not np.isfinite(ll_new):
                 blown_up = True
                 break
-            rel = abs(ll_new - ll) / (abs(ll) + 1.0)
+            streak = _small_change_streak(streak, ll_new, ll, config.tol)
             ll = ll_new
             trace.append(ll)
-            if rel < config.tol:
-                streak += 1
-                if streak >= _PATIENCE:
-                    converged = True
-                    break
-            else:
-                streak = 0
+            if streak >= _PATIENCE:
+                converged = True
+                break
         if not blown_up:
-            return theta, trace, converged
+            return theta, g, trace, converged
         lr *= 0.1      # auto-shrink after blow-up, three retries
     raise NonFiniteObjective("objective blew up despite shrinking the step 3 times")
 
@@ -266,35 +225,30 @@ def fit(data: Dataset, config: FitConfig) -> FitResult:
 
     p, d = data.p, config.d
 
-    def fun(theta, want_grad):
+    def fun(theta):
         try:
             params = _unpack(theta, p, d)
-            ll, grad = _evaluate(params, centered, config.alpha, want_grad=want_grad)
+            ll, grad = _evaluate(params, centered, config.alpha, want_grad=True)
         except (FloatingPointError, FactorizationError, ShapeMismatch):
             return -np.inf, None
-        if grad is None:
-            return ll, None
         return ll, _grad_vector(params, grad)
 
     runner = _run_line_search if config.mode == "line_search_ascent" else _run_adaptive_moment
 
     best = None
     for restart in range(config.restarts + 1):
-        sub = FitConfig(**{**config.__dict__, "seed": _restart_seed(config.seed, restart)})
+        sub = replace(config, seed=_restart_seed(config.seed, restart))
         theta0 = _pack(initialize(centered, sub))
-        theta, trace, converged = runner(fun, theta0, config)
-        if best is None or trace[-1] > best[1][-1]:
-            best = (theta, trace, converged, restart)
+        theta, g, trace, converged = runner(fun, theta0, config)
+        if best is None or trace[-1] > best[2][-1]:
+            best = (theta, g, trace, converged, restart)
 
-    theta, trace, converged, restart = best
-    params = _unpack(theta, p, d)
-    _, grad = log_likelihood_and_grad(params, centered, config.alpha)
-    gvec = _grad_vector(params, grad)
-    return FitResult(params=params, center_x=center_x, center_r=center_r,
+    theta, g, trace, converged, restart = best
+    return FitResult(params=_unpack(theta, p, d), center_x=center_x, center_r=center_r,
                      ll_trace=trace, converged=converged,
                      iterations=len(trace) - 1, best_restart=restart,
                      wall_time_seconds=time.perf_counter() - t0,
-                     grad_inf_norm=float(np.max(np.abs(gvec))))
+                     grad_inf_norm=float(np.max(np.abs(g))))
 
 
 def _restart_seed(seed, restart):

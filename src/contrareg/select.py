@@ -7,8 +7,8 @@ import numpy as np
 from .errors import (ConstantTruth, DegenerateData, FactorizationError,
                      NonFiniteObjective, RankDeficiencyError, ShapeMismatch,
                      TooFewSamples, ZeroBeta)
-from .model import Dataset
-from .optimizer import FitConfig, FitResult, fit
+from .model import Dataset, ModelParams
+from .optimizer import FitConfig, fit
 from .simulate import r_squared
 
 _TIE_TOL = 1e-12
@@ -39,13 +39,15 @@ def cross_validate(data: Dataset, d_grid, k: int, config: FitConfig) -> CVReport
     """
     data.validate()
     d_grid = sorted(int(d) for d in d_grid)
+    if not d_grid:
+        raise ShapeMismatch("d_grid is empty")
     if k < 2:
         raise TooFewSamples(f"k must be >= 2, got {k}")
     if data.n < k:
         raise TooFewSamples(f"need n >= k, got n={data.n}, k={k}")
     for d in d_grid:
-        if d > data.p:
-            raise ShapeMismatch(f"d={d} exceeds feature dimension p={data.p}")
+        if not 1 <= d <= data.p:
+            raise ShapeMismatch(f"need 1 <= d <= p={data.p} for every grid entry, got d={d}")
 
     rng = np.random.default_rng(config.seed)
     folds = np.array_split(rng.permutation(data.n), k)
@@ -106,7 +108,8 @@ def pca_linear_baseline(train: Dataset, test_X, d: int):
     return np.column_stack([np.ones(test_X.shape[0]), test_scores]) @ coef
 
 
-def rank_features(result: FitResult, names=None, canonical_rotation: bool = True) -> FeatureRanking:
+def rank_features(params: ModelParams, names=None,
+                  canonical_rotation: bool = True) -> FeatureRanking:
     """Rank features by |loading| of the response-linked contrastive component.
 
     With the canonical rotation the latent basis is rotated so beta aligns
@@ -114,7 +117,6 @@ def rank_features(result: FitResult, names=None, canonical_rotation: bool = True
     the ranking invariant to the rotational nonidentifiability of (W, beta).
     Without it, the raw column of W at argmax |beta_k| is used.
     """
-    params = result.params
     W = np.asarray(params.W, float)
     beta = np.asarray(params.beta, float)
     bnorm = float(np.linalg.norm(beta))

@@ -133,17 +133,12 @@ def test_criterion_03_rotation_invariance(capsys):
         sim, _ = generate(GenConfig(n=60, m=60, p=6, d=2, seed=3000 + trial))
         result = fit(sim, FitConfig(d=2, tol=1e-4, max_iter=500,
                                     restarts=0, seed=3000 + trial))
-        ranking = rank_features(result)
+        ranking = rank_features(result.params)
         R = random_orthogonal(rng, 2)
         rp = ModelParams(S=result.params.S, W=result.params.W @ R,
                          beta=R.T @ result.params.beta,
                          sigma2=result.params.sigma2, tau2=result.params.tau2)
-        from contrareg import FitResult
-        rot_ranking = rank_features(
-            FitResult(params=rp, center_x=result.center_x,
-                      center_r=result.center_r, ll_trace=result.ll_trace,
-                      converged=result.converged, iterations=result.iterations,
-                      best_restart=result.best_restart, wall_time_seconds=0.0))
+        rot_ranking = rank_features(rp)
         order_ok = order_ok and np.array_equal(ranking.order, rot_ranking.order)
     ok = worst_obj <= 1e-10 and order_ok
     report(capsys, 3, "rotation invariance", ok,

@@ -199,6 +199,13 @@ class TestCvCommand:
                        "--k", "61") == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("grid", [",", "a", "1,x", "0,1"])
+    def test_bad_d_grid_exit_3(self, dataset_files, capsys, grid):
+        fg, bg, _, _ = dataset_files
+        assert run_cli("cv", "--foreground", str(fg), "--background", str(bg),
+                       "--response-col", "response", "--d-grid", grid) == 3
+        assert "error:" in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def test_round_trip_equals_in_memory_generator(self, tmp_path, capsys):
@@ -277,7 +284,7 @@ class TestRankCommand:
         params, center_x, center_r, _, got_names, _ = load_model(model)
         lib = fit(Dataset(X=data.X, r=data.r, Y=data.Y, feature_names=names),
                   FitConfig(d=2, max_iter=300, restarts=1, seed=11))
-        ranking = rank_features(lib, names)
+        ranking = rank_features(lib.params, names)
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert [row["feature"] for row in rows] == \

@@ -77,6 +77,22 @@ class TestTables:
         with pytest.raises(MalformedFile):
             read_table(tmp_path / "nope.csv")
 
+    def test_undecodable_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"x,y\n1,2\n3,4\n5,\xff\n")
+        with pytest.raises(MalformedFile) as exc:
+            read_table(path)
+        assert str(path) in str(exc.value)
+        assert exc.value.line == 4
+
+    def test_csv_error_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        # one cell beyond the csv module's default field size limit
+        path.write_text("x\n1\n" + "1" * 200000 + "\n")
+        with pytest.raises(MalformedFile) as exc:
+            read_table(path)
+        assert exc.value.line == 3
+
     def test_write_predictions_format(self, tmp_path):
         path = tmp_path / "p.csv"
         write_predictions(path, [1.25, -0.5], 0.75)
@@ -128,6 +144,15 @@ class TestModelFiles:
     def test_missing_key(self, tmp_path, rng):
         doc = model_to_dict(random_params(rng, 2, 1), np.zeros(2), 0.0, 1.0, {})
         del doc["beta"]
+        path = tmp_path / "m.json"
+        save_model(path, doc)
+        with pytest.raises(MalformedFile):
+            load_model(path)
+
+    @pytest.mark.parametrize("key", ["p", "d"])
+    def test_missing_dimension_key(self, tmp_path, rng, key):
+        doc = model_to_dict(random_params(rng, 2, 1), np.zeros(2), 0.0, 1.0, {})
+        del doc[key]
         path = tmp_path / "m.json"
         save_model(path, doc)
         with pytest.raises(MalformedFile):

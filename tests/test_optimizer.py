@@ -6,6 +6,7 @@ import pytest
 from contrareg import (Dataset, DegenerateData, FitConfig, GenConfig,
                        ShapeMismatch, build_workspace, fit, generate,
                        initialize, r_squared)
+from contrareg.model import _evaluate, _grad_vector
 
 
 def _params_equal(a, b):
@@ -108,6 +109,18 @@ class TestFit:
         am = fit(data, FitConfig(d=1, mode="adaptive_moment", tol=1e-9,
                                  max_iter=20000, restarts=0, seed=17))
         assert am.final_ll == pytest.approx(ls.final_ll, abs=1e-3)
+
+    @pytest.mark.parametrize("mode", ["line_search_ascent", "adaptive_moment"])
+    def test_reported_objective_and_gradient_are_those_of_the_result(self, mode):
+        # fit reads both from the solver's last evaluation instead of re-evaluating
+        data, _ = generate(GenConfig(n=40, m=40, p=4, d=2, seed=19))
+        config = FitConfig(d=2, mode=mode, max_iter=120, restarts=1, seed=19)
+        result = fit(data, config)
+        centered = Dataset(X=data.X - result.center_x, r=data.r - result.center_r,
+                           Y=data.Y - result.center_x)
+        ll, grad = _evaluate(result.params, centered, config.alpha, want_grad=True)
+        assert result.final_ll == ll
+        assert result.grad_inf_norm == np.max(np.abs(_grad_vector(result.params, grad)))
 
     def test_predict_applies_centering(self):
         data, _ = generate(GenConfig(n=50, m=50, p=3, d=1, seed=2))

@@ -3,19 +3,12 @@
 import numpy as np
 import pytest
 
-from contrareg import (Dataset, FitConfig, FitResult, GenConfig, ModelParams,
+from contrareg import (Dataset, FitConfig, GenConfig, ModelParams,
                        RankDeficiencyError, ShapeMismatch, TooFewSamples,
                        ZeroBeta, cross_validate, fit, generate,
                        pca_linear_baseline, rank_features)
 
 from conftest import random_orthogonal
-
-
-def _result_with(params):
-    """Wrap bare params in a FitResult for rank_features."""
-    return FitResult(params=params, center_x=np.zeros(params.p), center_r=0.0,
-                     ll_trace=[0.0], converged=True, iterations=0,
-                     best_restart=0, wall_time_seconds=0.0)
 
 
 class TestCrossValidate:
@@ -64,6 +57,10 @@ class TestCrossValidate:
             cross_validate(data, [1], 11, FitConfig(d=1))
         with pytest.raises(ShapeMismatch):
             cross_validate(data, [4], 2, FitConfig(d=1))
+        with pytest.raises(ShapeMismatch):
+            cross_validate(data, [], 2, FitConfig(d=1))
+        with pytest.raises(ShapeMismatch):
+            cross_validate(data, [0, 1], 2, FitConfig(d=1))
 
 
 class TestPcaLinearBaseline:
@@ -107,7 +104,7 @@ class TestRankFeatures:
         params = ModelParams(S=rng.standard_normal((5, 3)), W=W,
                              beta=np.array([0.0, 0.7, 0.0]),
                              sigma2=1.0, tau2=1.0)
-        ranking = rank_features(_result_with(params))
+        ranking = rank_features(params)
         col = W[:, 1]
         cos = abs(ranking.scores @ col) / (np.linalg.norm(ranking.scores)
                                            * np.linalg.norm(col))
@@ -118,7 +115,7 @@ class TestRankFeatures:
         W = np.array([[3.0], [-5.0], [0.0], [1.0]])
         params = ModelParams(S=np.zeros((4, 1)), W=W, beta=np.array([1.0]),
                              sigma2=1.0, tau2=1.0)
-        ranking = rank_features(_result_with(params))
+        ranking = rank_features(params)
         assert list(ranking.order) == [2, 1, 4, 3]    # 1-based feature indices
         mags = np.abs(ranking.scores[ranking.order - 1])
         assert np.all(np.diff(mags) <= 0)
@@ -127,27 +124,27 @@ class TestRankFeatures:
         W = np.array([[2.0], [-2.0], [1.0]])
         params = ModelParams(S=np.zeros((3, 1)), W=W, beta=np.array([1.0]),
                              sigma2=1.0, tau2=1.0)
-        ranking = rank_features(_result_with(params))
+        ranking = rank_features(params)
         assert list(ranking.order) == [1, 2, 3]
 
     def test_rotation_invariance_of_order(self, rng):
         data, _ = generate(GenConfig(n=80, m=80, p=6, d=2, seed=12))
         result = fit(data, FitConfig(d=2, tol=1e-6, max_iter=2000,
                                      restarts=0, seed=12))
-        base = rank_features(result)
+        base = rank_features(result.params)
         R = random_orthogonal(rng, 2)
         rotated = ModelParams(S=result.params.S, W=result.params.W @ R,
                               beta=R.T @ result.params.beta,
                               sigma2=result.params.sigma2,
                               tau2=result.params.tau2)
-        rot = rank_features(_result_with(rotated))
+        rot = rank_features(rotated)
         assert np.array_equal(base.order, rot.order)
 
     def test_no_rotation_uses_raw_column(self):
         W = np.array([[1.0, 4.0], [2.0, -6.0]])
         params = ModelParams(S=np.zeros((2, 2)), W=W,
                              beta=np.array([0.1, -0.9]), sigma2=1.0, tau2=1.0)
-        ranking = rank_features(_result_with(params), canonical_rotation=False)
+        ranking = rank_features(params, canonical_rotation=False)
         assert ranking.component_index == 2
         assert np.array_equal(ranking.scores, W[:, 1])
 
@@ -155,10 +152,10 @@ class TestRankFeatures:
         params = ModelParams(S=np.zeros((3, 1)), W=np.ones((3, 1)),
                              beta=np.zeros(1), sigma2=1.0, tau2=1.0)
         with pytest.raises(ZeroBeta):
-            rank_features(_result_with(params))
+            rank_features(params)
 
     def test_names_length_checked(self):
         params = ModelParams(S=np.zeros((3, 1)), W=np.ones((3, 1)),
                              beta=np.ones(1), sigma2=1.0, tau2=1.0)
         with pytest.raises(ShapeMismatch):
-            rank_features(_result_with(params), names=["a", "b"])
+            rank_features(params, names=["a", "b"])
