@@ -12,14 +12,18 @@ x ~ N(0, Q) with Q = P + W W'.  The posterior of t given x is
 N(A W' P^-1 x, A) with A = (W' P^-1 W + I)^-1, which also gives the
 predictive law of r given x.
 
-All covariance solves go through Cholesky factors; dense inverses of the
-p x p matrices never appear here (only in test oracles).
+P and Q are the identity plus rank d and rank 2d (Q = sigma2 I + U U' with
+U = [S W]), so the Woodbury identity and the matrix determinant lemma reduce
+every solve and log-determinant to d x d and 2d x 2d factors (Tipping &
+Bishop 1999; Bishop, PRML 12.2 and App. C).  A likelihood-and-gradient
+evaluation multiplies the data by p x 2d loadings and costs O((n + m) p d) time and
+O((n + m) p + p d) memory; no p x p matrix is formed.  Dense P and Q exist
+only as the Workspace's inspection properties and in the test oracles.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular, LinAlgError
 
 from .errors import FactorizationError, RankDeficiencyError, ShapeMismatch
 
@@ -104,22 +108,51 @@ class Dataset:
 
 @dataclass(frozen=True)
 class Workspace:
-    """Derived matrices and factorizations cached for one parameter value.
+    """Small factors of P and Q for one parameter value.
 
-    P = S S' + sigma2 I, Q = P + W W', A = (W' P^-1 W + I)^-1.
-    pred_coef is the vector v with predictive mean v' x, pred_var the
-    (x-independent) predictive variance tau2 + beta' A beta.
+    With L_P L_P' = sigma2 I_d + S'S, L_Q L_Q' = sigma2 I_2d + U'U and the
+    whitened loadings V_P = S L_P^-T, V_Q = U L_Q^-T,
+
+        P^-1 = (I - V_P V_P') / sigma2,   Q^-1 = (I - V_Q V_Q') / sigma2,
+        log|P| = (p - d) log sigma2 + log|L_P L_P'|  (Q: 2d and L_Q),
+
+    so Q^-1 U = V_Q L_Q^-1, A = (W' P^-1 W + I)^-1 = sigma2 [L_Q^-T L_Q^-1]
+    restricted to the W block, and P^-1 W A beta = Q^-1 W beta.  pred_coef
+    is that vector v, with predictive mean v' x; pred_var is the
+    (x-independent) predictive variance tau2 + beta' A beta.  Building one
+    costs O(p d^2 + d^3).  The dense P, Q and their lower Cholesky factors
+    are built only when read, for inspection; the likelihood never reads them.
     """
 
-    P: np.ndarray
-    Q: np.ndarray
+    params: ModelParams
+    U: np.ndarray          # p x 2d, [S W]
+    Li_P: np.ndarray       # d x d, L_P^-1
+    Li_Q: np.ndarray       # 2d x 2d, L_Q^-1
+    V_P: np.ndarray        # p x d, S L_P^-T
+    V_Q: np.ndarray        # p x 2d, U L_Q^-T
     A: np.ndarray
-    chol_P: np.ndarray     # lower triangular
-    chol_Q: np.ndarray     # lower triangular
     logdet_P: float
     logdet_Q: float
     pred_var: float
     pred_coef: np.ndarray
+
+    @property
+    def P(self):
+        S = np.asarray(self.params.S, float)
+        return S @ S.T + self.params.sigma2 * np.eye(self.params.p)
+
+    @property
+    def Q(self):
+        W = np.asarray(self.params.W, float)
+        return self.P + W @ W.T
+
+    @property
+    def chol_P(self):
+        return _cholesky(self.P, "P")
+
+    @property
+    def chol_Q(self):
+        return _cholesky(self.Q, "Q")
 
 
 @dataclass(frozen=True)
@@ -184,43 +217,43 @@ def _grad_vector(params, grad):
 # Workspace construction
 # ---------------------------------------------------------------------------
 
-def _spd_cholesky(M, label):
+def _cholesky(M, label):
+    """Lower Cholesky factor of a symmetric positive-definite matrix."""
     if not np.all(np.isfinite(M)):
         raise FactorizationError(f"{label} contains non-finite entries")
     try:
-        return cholesky(M, lower=True, check_finite=False)
-    except LinAlgError as exc:
+        return np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"{label} is numerically non-SPD: {exc}") from exc
 
 
-def _chol_solve(L, B):
-    """Solve (L L') x = B with a lower-triangular L."""
-    Z = solve_triangular(L, B, lower=True, check_finite=False)
-    return solve_triangular(L, Z, lower=True, trans="T", check_finite=False)
+def _inverse_factor(M, label):
+    """L^-1 and log|M| for the lower Cholesky factor L of a small SPD matrix M."""
+    L = _cholesky(M, label)
+    return np.linalg.inv(L), 2.0 * np.sum(np.log(np.diag(L)))
 
 
 def build_workspace(params: ModelParams) -> Workspace:
-    """Assemble P, Q, A and the prediction cache for a parameter value."""
+    """Small factors of P and Q, A and the prediction cache for a parameter value."""
     params.validate()
     S, W = np.asarray(params.S, float), np.asarray(params.W, float)
-    p = params.p
-    P = S @ S.T + params.sigma2 * np.eye(p)
-    Q = P + W @ W.T
-    L_P = _spd_cholesky(P, "P")
-    L_Q = _spd_cholesky(Q, "Q")
-    logdet_P = 2.0 * float(np.sum(np.log(np.diag(L_P))))
-    logdet_Q = 2.0 * float(np.sum(np.log(np.diag(L_Q))))
+    beta = np.asarray(params.beta, float)
+    p, d = S.shape
+    s2 = np.float64(params.sigma2)
+    U = np.hstack([S, W])
+    M = U.T @ U + s2 * np.eye(2 * d)           # sigma2 I_2d + U'U; M[:d, :d] = sigma2 I_d + S'S
+    Li_P, logdet_MP = _inverse_factor(M[:d, :d], "sigma2 I + S'S")
+    Li_Q, logdet_MQ = _inverse_factor(M, "sigma2 I + U'U")
+    V_Q = U @ Li_Q.T
+    log_s2 = np.log(s2)
 
-    Zw = solve_triangular(L_P, W, lower=True, check_finite=False)
-    M = Zw.T @ Zw                       # W' P^-1 W
-    A = np.linalg.inv(M + np.eye(params.d))
-    A = 0.5 * (A + A.T)
-
-    u = A @ np.asarray(params.beta, float)
-    pred_var = params.tau2 + float(params.beta @ u)
-    pred_coef = _chol_solve(L_P, W @ u)
-    return Workspace(P=P, Q=Q, A=A, chol_P=L_P, chol_Q=L_Q,
-                     logdet_P=logdet_P, logdet_Q=logdet_Q,
+    Li_W = Li_Q[:, d:]                         # L_Q^-1 restricted to the W block
+    A = s2 * (Li_W.T @ Li_W)
+    pred_var = params.tau2 + float(beta @ (A @ beta))
+    pred_coef = V_Q @ (Li_W @ beta)
+    return Workspace(params=params, U=U, Li_P=Li_P, Li_Q=Li_Q, V_P=S @ Li_P.T, V_Q=V_Q,
+                     A=A, logdet_P=float((p - d) * log_s2 + logdet_MP),
+                     logdet_Q=float((p - 2 * d) * log_s2 + logdet_MQ),
                      pred_var=pred_var, pred_coef=pred_coef)
 
 
@@ -240,43 +273,40 @@ def _check_pair(params, data, alpha):
 def _evaluate(params, data, alpha, want_grad):
     """Shared evaluation of the log-likelihood and (optionally) its gradient.
 
-    Quadratic forms use triangular half-solves; the gradient additionally
-    needs full solves against the data matrices, which keeps the cost at
-    O((n + m) p^2) per call.
+    Everything follows from the workspace's small factors and the products
+    X V_Q and Y V_P: tr(Q^-1 X'X) = (|X|_F^2 - |X V_Q|_F^2) / sigma2, and the
+    gradient's solves against the data, X Q^-1 = (X - X V_Q V_Q') / sigma2
+    and Y P^-1 likewise, are n x p and m x p.  Working with the whitened
+    loadings rather than (sigma2 I + U'U)^-1, which has a 1/sigma2
+    eigenvalue when 2d > p, and forming those solves instead of expanding
+    their squared norms keep rounding from being amplified by 1/sigma2.
     """
-    S = np.asarray(params.S, float)
-    W = np.asarray(params.W, float)
+    ws = build_workspace(params)
+    p, d = params.p, params.d
+    s2 = np.float64(params.sigma2)
     beta = np.asarray(params.beta, float)
     X = np.asarray(data.X, float)
     r = np.asarray(data.r, float)
-    n, p = data.n, params.p
+    n = X.shape[0]
+    V, Li = ws.V_Q, ws.Li_Q
+    v = ws.pred_coef                               # Q^-1 W beta = P^-1 W A beta
+    s = np.float64(ws.pred_var)                    # tau2 + beta' A beta
 
-    ws = build_workspace(params)
-    L_P, L_Q, A = ws.chol_P, ws.chol_Q, ws.A
-
-    u = A @ beta                                   # A beta
-    s = ws.pred_var                                # tau2 + beta' A beta
-    v = ws.pred_coef                               # P^-1 W A beta
-
-    means = X @ v
-    e = r - means
-    E2 = float(e @ e)
-
-    # foreground quadratic term against Q
-    Zx = solve_triangular(L_Q, X.T, lower=True, check_finite=False)
-    quad_x = float(np.sum(Zx * Zx))
+    XV = X @ V
+    e = r - X @ v
+    E2 = e @ e
+    quad_x = (np.vdot(X, X) - np.vdot(XV, XV)) / s2
 
     ll = (-0.5 * n * np.log(s) - 0.5 * E2 / s
           - 0.5 * n * ws.logdet_Q - 0.5 * quad_x
           - 0.5 * n * (p + 1) * LOG_2PI)
 
     use_bg = alpha > 0.0 and data.m > 0
-    Zy = None
     if use_bg:
         Y = np.asarray(data.Y, float)
-        m = data.m
-        Zy = solve_triangular(L_P, Y.T, lower=True, check_finite=False)
-        quad_y = float(np.sum(Zy * Zy))
+        m = Y.shape[0]
+        YV = Y @ ws.V_P
+        quad_y = (np.vdot(Y, Y) - np.vdot(YV, YV)) / s2
         ll += alpha * (-0.5 * m * ws.logdet_P - 0.5 * quad_y - 0.5 * m * p * LOG_2PI)
 
     if not np.isfinite(ll):
@@ -285,42 +315,33 @@ def _evaluate(params, data, alpha, want_grad):
         return ll, None
 
     # --- gradient ---------------------------------------------------------
-    kappa = -0.5 * n / s + 0.5 * E2 / s ** 2       # d ll / d s
+    kappa = (E2 / s - n) / (2.0 * s)               # d ll / d s
+    T = XV @ Li                                    # X Q^-1 U
+    XQi = X - XV @ V.T
+    XQi /= s2                                      # X Q^-1
+    w = e @ XQi                                    # Q^-1 X' e
+    wU = T.T @ e                                   # U' Q^-1 X' e
+    vU = ws.U.T @ v
+    u = ws.A @ beta
 
-    Pi_W = _chol_solve(L_P, W)                     # P^-1 W
-    c = X.T @ e                                    # sum_i e_i x_i
-    Pi_c = _chol_solve(L_P, c)
-    h = A @ (W.T @ Pi_c)                           # A W' P^-1 c
-    abar = -Pi_c + Pi_W @ h
-
-    Qi_X = solve_triangular(L_Q, Zx, lower=True, trans="T", check_finite=False)  # Q^-1 X'
-    Qi_S = _chol_solve(L_Q, S)
-    Qi_W = _chol_solve(L_Q, W)
-
-    dbeta = 2.0 * kappa * u + h / s
+    # d ll / d U for U = [S W], through Q in the Gaussian term and in v and s
+    dU = (np.outer(2.0 * kappa * v - w / s, vU) - np.outer(v, wU) / s
+          - n * (V @ Li) + XQi.T @ T)
+    dS = dU[:, :d]
+    dW = dU[:, d:] + np.outer(w / s - 2.0 * kappa * v, beta)
+    dbeta = 2.0 * kappa * u + wU[d:] / s
     dtau2 = kappa
-
-    dW = (-2.0 * kappa * np.outer(v, u)
-          + (np.outer(Pi_c, u) - Pi_W @ (np.outer(u, h) + np.outer(h, u))) / s
-          - n * Qi_W + Qi_X @ (Qi_X.T @ W))
-
-    dS = (2.0 * kappa * np.outer(v, v @ S)
-          + (np.outer(abar, v @ S) + np.outer(v, abar @ S)) / s
-          - n * Qi_S + Qi_X @ (Qi_X.T @ S))
-
-    Li_Q = solve_triangular(L_Q, np.eye(p), lower=True, check_finite=False)
-    tr_Qi = float(np.sum(Li_Q * Li_Q))
-    dsigma2 = (kappa * float(v @ v) + float(abar @ v) / s
-               - 0.5 * n * tr_Qi + 0.5 * float(np.sum(Qi_X * Qi_X)))
+    tr_Qi = (p - np.vdot(V, V)) / s2
+    dsigma2 = (kappa * (v @ v) - (w @ v) / s
+               - 0.5 * n * tr_Qi + 0.5 * np.vdot(XQi, XQi))
 
     if use_bg:
-        m = data.m
-        Pi_Y = solve_triangular(L_P, Zy, lower=True, trans="T", check_finite=False)  # P^-1 Y'
-        Pi_S = _chol_solve(L_P, S)
-        Li_P = solve_triangular(L_P, np.eye(p), lower=True, check_finite=False)
-        tr_Pi = float(np.sum(Li_P * Li_P))
-        dS = dS + alpha * (-m * Pi_S + Pi_Y @ (Pi_Y.T @ S))
-        dsigma2 += alpha * (-0.5 * m * tr_Pi + 0.5 * float(np.sum(Pi_Y * Pi_Y)))
+        V_P, Li_P = ws.V_P, ws.Li_P
+        YPi = Y - YV @ V_P.T
+        YPi /= s2                                  # Y P^-1
+        dS = dS + alpha * (-m * (V_P @ Li_P) + YPi.T @ (YV @ Li_P))
+        tr_Pi = (p - np.vdot(V_P, V_P)) / s2
+        dsigma2 += alpha * (-0.5 * m * tr_Pi + 0.5 * np.vdot(YPi, YPi))
 
     grad = GradientSet(dS=dS, dW=dW, dbeta=dbeta,
                        dsigma2=float(dsigma2), dtau2=float(dtau2))
@@ -407,8 +428,8 @@ def latent_posterior(params: ModelParams, x, workspace: Workspace = None) -> Lat
     """Posterior N(A W' P^-1 x, A) of the foreground-specific latent t."""
     x = _row(x, params.p)
     ws = workspace if workspace is not None else build_workspace(params)
-    W = np.asarray(params.W, float)
-    t_mean = ws.A @ (W.T @ _chol_solve(ws.chol_P, x))
+    Li_W = ws.Li_Q[:, params.d:]
+    t_mean = Li_W.T @ (ws.V_Q.T @ x)              # A W' P^-1 x = W' Q^-1 x
     return LatentPosterior(t_mean=t_mean, t_cov=ws.A)
 
 

@@ -38,7 +38,7 @@ def cross_validate(data: Dataset, d_grid, k: int, config: FitConfig) -> CVReport
     the smaller d.
     """
     data.validate()
-    d_grid = sorted(int(d) for d in d_grid)
+    d_grid = sorted(_integral(d) for d in d_grid)
     if not d_grid:
         raise ShapeMismatch("d_grid is empty")
     if k < 2:
@@ -81,6 +81,16 @@ def cross_validate(data: Dataset, d_grid, k: int, config: FitConfig) -> CVReport
             best_mean = mean
             best_d = d
     return CVReport(d_grid=d_grid, k=k, train_r2=train_r2, test_r2=test_r2, best_d=best_d)
+
+
+def _integral(d):
+    """A grid entry as an int; ShapeMismatch unless its value is an integer."""
+    try:
+        if int(d) == d:
+            return int(d)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ShapeMismatch(f"d_grid entries must be integers, got {d!r}")
 
 
 def pca_linear_baseline(train: Dataset, test_X, d: int):

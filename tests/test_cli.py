@@ -259,6 +259,10 @@ class TestGradcheckCommand:
         for block in ("S", "W", "beta", "sigma2", "tau2"):
             assert f"{block}: worst relative error" in out
 
+    def test_p_above_n_plus_m_exit_0(self, capsys):
+        assert run_cli("gradcheck", "--p", "60", "--n", "5", "--m", "5", "--d", "3") == 0
+        assert "gradient mismatch" not in capsys.readouterr().out
+
     def test_impossible_rtol_exit_5(self, capsys):
         assert run_cli("gradcheck", "--rtol", "0") == 5
         out = capsys.readouterr().out

@@ -1,5 +1,7 @@
 """Core model: workspace, likelihood, gradients, prediction, residuals."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,15 @@ from contrareg import (Dataset, FactorizationError, ModelParams,
                        contrastive_residuals, finite_diff_gradient,
                        grad_log_likelihood, latent_posterior, log_likelihood,
                        predict)
+from contrareg.model import log_likelihood_and_grad
 
 from conftest import (assert_rel_close, dense_A, dense_P, dense_Q,
                       oracle_conditional, oracle_log_likelihood, random_dataset,
                       random_orthogonal, random_params)
+
+# (n, m, p, d) shapes of the low-rank engine's edge regimes: p > n + m,
+# 2d > p (U = [S W] spans all of R^p), no foreground rows, no background rows
+REGIMES = [(3, 3, 60, 2), (4, 4, 3, 2), (0, 5, 6, 2), (5, 0, 6, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +131,14 @@ class TestLogLikelihood:
             assert_rel_close(log_likelihood(params, data, alpha),
                              oracle_log_likelihood(params, data, alpha),
                              1e-9, atol=1e-9)
+        for n, m, p, d in REGIMES:
+            for sigma2 in (1e-6, 1e-2, 1.0):
+                params = replace(random_params(rng, p, d), sigma2=sigma2)
+                data = random_dataset(rng, n, m, p)
+                for alpha in (0.0, 1.0):
+                    assert_rel_close(log_likelihood(params, data, alpha),
+                                     oracle_log_likelihood(params, data, alpha),
+                                     1e-9, atol=1e-9)
 
     def test_rotation_invariance_of_objective(self, rng):
         params = random_params(rng, 6, 3)
@@ -148,6 +163,24 @@ class TestLogLikelihood:
 # ---------------------------------------------------------------------------
 # grad_log_likelihood / finite_diff_gradient
 # ---------------------------------------------------------------------------
+
+class TestExtremeVariances:
+    @pytest.mark.parametrize("sigma2", [1e-200, 1e200])
+    @pytest.mark.parametrize("tau2", [1e-200, 1e200])
+    def test_give_minus_inf_or_factorization_error(self, rng, sigma2, tau2):
+        # what a rejected line-search trial can hand the engine: the result is
+        # a finite or -inf objective, or a typed error, never OverflowError or
+        # ZeroDivisionError
+        for p, d in ((6, 2), (3, 2)):
+            params = replace(random_params(rng, p, d), sigma2=sigma2, tau2=tau2)
+            data = random_dataset(rng, 5, 4, p)
+            try:
+                ll, grad = log_likelihood_and_grad(params, data)
+            except FactorizationError:
+                continue
+            assert np.isfinite(ll) or ll == -np.inf
+            assert isinstance(grad.dsigma2, float) and isinstance(grad.dtau2, float)
+
 
 class TestGradients:
     def test_no_foreground_kills_foreground_blocks(self, rng):
@@ -188,6 +221,19 @@ class TestGradients:
                          (ana.dsigma2, num.dsigma2), (ana.dtau2, num.dtau2)):
                 np.testing.assert_allclose(np.atleast_1d(a), np.atleast_1d(b),
                                            rtol=1e-4, atol=1e-8)
+        # sigma2 = 1e-6 is checked against the oracle in TestLogLikelihood only:
+        # there a central difference cannot resolve the gradient at rtol 1e-4
+        for n, m, p, d in REGIMES:
+            for sigma2 in (1e-2, 1.0):
+                params = replace(random_params(rng, p, d), sigma2=sigma2)
+                data = random_dataset(rng, n, m, p)
+                ana = grad_log_likelihood(params, data)
+                num = finite_diff_gradient(params, data, step=1e-5)
+                for a, b in ((ana.dS, num.dS), (ana.dW, num.dW),
+                             (ana.dbeta, num.dbeta),
+                             (ana.dsigma2, num.dsigma2), (ana.dtau2, num.dtau2)):
+                    np.testing.assert_allclose(np.atleast_1d(a), np.atleast_1d(b),
+                                               rtol=1e-4, atol=1e-8)
 
     def test_finite_diff_second_order_convergence(self, rng):
         params = random_params(rng, 4, 2)

@@ -5,7 +5,7 @@ import pytest
 
 from contrareg import (Dataset, DegenerateData, FitConfig, GenConfig,
                        ShapeMismatch, build_workspace, fit, generate,
-                       initialize, r_squared)
+                       initialize, latent_posterior, predict, r_squared)
 from contrareg.model import _evaluate, _grad_vector
 
 
@@ -121,6 +121,17 @@ class TestFit:
         ll, grad = _evaluate(result.params, centered, config.alpha, want_grad=True)
         assert result.final_ll == ll
         assert result.grad_inf_norm == np.max(np.abs(_grad_vector(result.params, grad)))
+
+    def test_p_much_larger_than_n(self):
+        # p = 20 000: one dense p x p matrix would take 3.2 GB
+        data, _ = generate(GenConfig(n=20, m=20, p=20_000, d=2, seed=3))
+        result = fit(data, FitConfig(d=2, max_iter=3, restarts=0, seed=3))
+        assert np.all(np.isfinite(result.ll_trace)) and len(result.ll_trace) == 4
+        x = data.X[0] - result.center_x
+        dist = predict(result.params, x)
+        post = latent_posterior(result.params, x)
+        assert np.isfinite(dist.mean) and np.isfinite(dist.variance)
+        assert np.all(np.isfinite(post.t_mean)) and np.all(np.isfinite(post.t_cov))
 
     def test_predict_applies_centering(self):
         data, _ = generate(GenConfig(n=50, m=50, p=3, d=1, seed=2))

@@ -61,6 +61,13 @@ class TestCrossValidate:
             cross_validate(data, [], 2, FitConfig(d=1))
         with pytest.raises(ShapeMismatch):
             cross_validate(data, [0, 1], 2, FitConfig(d=1))
+        with pytest.raises(ShapeMismatch):
+            cross_validate(data, [1.5], 2, FitConfig(d=1))
+        with pytest.raises(ShapeMismatch):
+            cross_validate(data, [1, "2"], 2, FitConfig(d=1))
+        report = cross_validate(data, [np.int64(1)], 2,
+                                FitConfig(d=1, restarts=0, max_iter=20))
+        assert report.d_grid == [1] and type(report.d_grid[0]) is int
 
 
 class TestPcaLinearBaseline:
