@@ -36,7 +36,8 @@ def _add_fit_flags(sub):
     sub.add_argument("--tol", type=float, default=1e-4)
     sub.add_argument("--max-iter", type=int, default=5000)
     sub.add_argument("--mode", choices=sorted(_MODE_NAMES), default="line-search")
-    sub.add_argument("--restarts", type=int, default=3)
+    sub.add_argument("--restarts", type=int, default=3,
+                     help="extra seeded starts; pca-warm-start is deterministic and runs once")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--step0", type=float, default=1e-2)
     sub.add_argument("--init", choices=["random-normal", "pca-warm-start"],

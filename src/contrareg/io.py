@@ -80,15 +80,15 @@ def _undecodable_line(path, encoding):
 
 def write_table(path, matrix, names, responses=None, response_col="response"):
     matrix = np.asarray(matrix, float)
-    header = list(names) + ([response_col] if responses is not None else [])
+    header = list(names)
+    if responses is not None:
+        header.append(response_col)
+        matrix = np.column_stack([matrix, np.asarray(responses, float)])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(matrix.shape[0]):
-            row = [repr(float(v)) for v in matrix[i]]
-            if responses is not None:
-                row.append(repr(float(responses[i])))
-            writer.writerow(row)
+        csv.writer(fh).writerow(header)      # names may need quoting; numbers never do
+        # one row at a time: tolist() of the whole matrix would hold every cell as a float object
+        for row in matrix:
+            fh.write(",".join(map(repr, row.tolist())) + "\r\n")
 
 
 def write_predictions(path, means, variance):

@@ -18,7 +18,7 @@ every solve and log-determinant to d x d and 2d x 2d factors (Tipping &
 Bishop 1999; Bishop, PRML 12.2 and App. C).  A likelihood-and-gradient
 evaluation multiplies the data by p x 2d loadings and costs O((n + m) p d) time and
 O((n + m) p + p d) memory; no p x p matrix is formed.  Dense P and Q exist
-only as the Workspace's inspection properties and in the test oracles.
+only in the test oracles.
 """
 
 from dataclasses import dataclass
@@ -120,11 +120,9 @@ class Workspace:
     restricted to the W block, and P^-1 W A beta = Q^-1 W beta.  pred_coef
     is that vector v, with predictive mean v' x; pred_var is the
     (x-independent) predictive variance tau2 + beta' A beta.  Building one
-    costs O(p d^2 + d^3).  The dense P, Q and their lower Cholesky factors
-    are built only when read, for inspection; the likelihood never reads them.
+    costs O(p d^2 + d^3).
     """
 
-    params: ModelParams
     U: np.ndarray          # p x 2d, [S W]
     Li_P: np.ndarray       # d x d, L_P^-1
     Li_Q: np.ndarray       # 2d x 2d, L_Q^-1
@@ -135,24 +133,6 @@ class Workspace:
     logdet_Q: float
     pred_var: float
     pred_coef: np.ndarray
-
-    @property
-    def P(self):
-        S = np.asarray(self.params.S, float)
-        return S @ S.T + self.params.sigma2 * np.eye(self.params.p)
-
-    @property
-    def Q(self):
-        W = np.asarray(self.params.W, float)
-        return self.P + W @ W.T
-
-    @property
-    def chol_P(self):
-        return _cholesky(self.P, "P")
-
-    @property
-    def chol_Q(self):
-        return _cholesky(self.Q, "Q")
 
 
 @dataclass(frozen=True)
@@ -217,19 +197,14 @@ def _grad_vector(params, grad):
 # Workspace construction
 # ---------------------------------------------------------------------------
 
-def _cholesky(M, label):
-    """Lower Cholesky factor of a symmetric positive-definite matrix."""
+def _inverse_factor(M, label):
+    """L^-1 and log|M| for the lower Cholesky factor L of a small SPD matrix M."""
     if not np.all(np.isfinite(M)):
         raise FactorizationError(f"{label} contains non-finite entries")
     try:
-        return np.linalg.cholesky(M)
+        L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"{label} is numerically non-SPD: {exc}") from exc
-
-
-def _inverse_factor(M, label):
-    """L^-1 and log|M| for the lower Cholesky factor L of a small SPD matrix M."""
-    L = _cholesky(M, label)
     return np.linalg.inv(L), 2.0 * np.sum(np.log(np.diag(L)))
 
 
@@ -251,7 +226,7 @@ def build_workspace(params: ModelParams) -> Workspace:
     A = s2 * (Li_W.T @ Li_W)
     pred_var = params.tau2 + float(beta @ (A @ beta))
     pred_coef = V_Q @ (Li_W @ beta)
-    return Workspace(params=params, U=U, Li_P=Li_P, Li_Q=Li_Q, V_P=S @ Li_P.T, V_Q=V_Q,
+    return Workspace(U=U, Li_P=Li_P, Li_Q=Li_Q, V_P=S @ Li_P.T, V_Q=V_Q,
                      A=A, logdet_P=float((p - d) * log_s2 + logdet_MP),
                      logdet_Q=float((p - 2 * d) * log_s2 + logdet_MQ),
                      pred_var=pred_var, pred_coef=pred_coef)
@@ -408,10 +383,10 @@ def _row(x, p):
     return x
 
 
-def predict(params: ModelParams, x_star, workspace: Workspace = None) -> PredictiveDist:
+def predict(params: ModelParams, x_star) -> PredictiveDist:
     """Predictive law of r given a new foreground observation x."""
     x = _row(x_star, params.p)
-    ws = workspace if workspace is not None else build_workspace(params)
+    ws = build_workspace(params)
     return PredictiveDist(mean=float(ws.pred_coef @ x), variance=ws.pred_var)
 
 
@@ -424,10 +399,10 @@ def predict_rows(params: ModelParams, X, center_x, center_r):
     return (X - center_x) @ ws.pred_coef + center_r, ws.pred_var
 
 
-def latent_posterior(params: ModelParams, x, workspace: Workspace = None) -> LatentPosterior:
+def latent_posterior(params: ModelParams, x) -> LatentPosterior:
     """Posterior N(A W' P^-1 x, A) of the foreground-specific latent t."""
     x = _row(x, params.p)
-    ws = workspace if workspace is not None else build_workspace(params)
+    ws = build_workspace(params)
     Li_W = ws.Li_Q[:, params.d:]
     t_mean = Li_W.T @ (ws.V_Q.T @ x)              # A W' P^-1 x = W' Q^-1 x
     return LatentPosterior(t_mean=t_mean, t_cov=ws.A)

@@ -61,7 +61,6 @@ class FitResult:
     center_r: float
     ll_trace: list
     converged: bool
-    iterations: int
     best_restart: int
     wall_time_seconds: float
     grad_inf_norm: float
@@ -69,6 +68,10 @@ class FitResult:
     @property
     def final_ll(self):
         return self.ll_trace[-1]
+
+    @property
+    def iterations(self):
+        return len(self.ll_trace) - 1
 
     def predict(self, X):
         """Predictive means and (constant) variance for rows of X."""
@@ -206,7 +209,11 @@ def _run_adaptive_moment(fun, theta0, config):
 # ---------------------------------------------------------------------------
 
 def fit(data: Dataset, config: FitConfig) -> FitResult:
-    """Maximum-likelihood estimate over config.restarts + 1 seeded starts."""
+    """Maximum-likelihood estimate over config.restarts + 1 seeded starts.
+
+    The best start by final log-likelihood wins.  pca_warm_start has one
+    start whatever config.restarts says, so it runs a single solve.
+    """
     t0 = time.perf_counter()
     config.validate()
     data.validate()
@@ -227,7 +234,9 @@ def fit(data: Dataset, config: FitConfig) -> FitResult:
 
     def fun(theta):
         try:
-            params = _unpack(theta, p, d)
+            # an overflowing exp(log sigma2) is a failed trial, not a warning
+            with np.errstate(over="raise"):
+                params = _unpack(theta, p, d)
             ll, grad = _evaluate(params, centered, config.alpha, want_grad=True)
         except (FloatingPointError, FactorizationError, ShapeMismatch):
             return -np.inf, None
@@ -235,8 +244,10 @@ def fit(data: Dataset, config: FitConfig) -> FitResult:
 
     runner = _run_line_search if config.mode == "line_search_ascent" else _run_adaptive_moment
 
+    # pca_warm_start draws nothing at random: every restart would repeat the same solve
+    starts = 1 if config.init == "pca_warm_start" else config.restarts + 1
     best = None
-    for restart in range(config.restarts + 1):
+    for restart in range(starts):
         sub = replace(config, seed=_restart_seed(config.seed, restart))
         theta0 = _pack(initialize(centered, sub))
         theta, g, trace, converged = runner(fun, theta0, config)
@@ -245,8 +256,7 @@ def fit(data: Dataset, config: FitConfig) -> FitResult:
 
     theta, g, trace, converged, restart = best
     return FitResult(params=_unpack(theta, p, d), center_x=center_x, center_r=center_r,
-                     ll_trace=trace, converged=converged,
-                     iterations=len(trace) - 1, best_restart=restart,
+                     ll_trace=trace, converged=converged, best_restart=restart,
                      wall_time_seconds=time.perf_counter() - t0,
                      grad_inf_norm=float(np.max(np.abs(g))))
 

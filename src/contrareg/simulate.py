@@ -8,7 +8,6 @@ carrying a vertical line whose height is the response.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .errors import ConstantTruth, ShapeMismatch
 from .model import Dataset, ModelParams
@@ -130,6 +129,9 @@ def _smooth_patterns(rank, side, rng):
     the leading components dominate the image variance while the trailing
     ones fall below the variance of the foreground line.
     """
+    # imported here: scipy.ndimage takes longer to import than all of contrareg
+    from scipy.ndimage import gaussian_filter
+
     patterns = np.empty((rank, side, side))
     for k in range(rank):
         raw = rng.standard_normal((side, side))

@@ -26,6 +26,14 @@ class TestTables:
         write_table(path2, got, names, responses=resp)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_exact_bytes(self, tmp_path):
+        # quoted names, CRLF line ends, shortest round-trip reprs, response as the last column
+        path = tmp_path / "t.csv"
+        write_table(path, [[0.1, -0.0, 1e-300], [1.5e300, 3.0, -2.5]], ['a,b', 'q"x', 'c'],
+                    responses=[7.0, 0.30000000000000004], response_col="r")
+        assert path.read_bytes() == (b'"a,b","q""x",c,r\r\n0.1,-0.0,1e-300,7.0\r\n'
+                                     b'1.5e+300,3.0,-2.5,0.30000000000000004\r\n')
+
     def test_read_without_response(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("x,y\n1,2\n3,4\n")

@@ -30,8 +30,8 @@ class TestBuildWorkspace:
         params = ModelParams(S=np.zeros((1, 1)), W=np.zeros((1, 1)),
                              beta=np.zeros(1), sigma2=1.0, tau2=1.0)
         ws = build_workspace(params)
-        assert_rel_close(ws.P, [[1.0]], 0)
-        assert_rel_close(ws.Q, [[1.0]], 0)
+        # P = Q = I
+        assert_rel_close([ws.logdet_P, ws.logdet_Q], [0.0, 0.0], 0)
         assert_rel_close(ws.A, [[1.0]], 0)
 
     def test_orthogonal_axes_hand_computable(self):
@@ -39,8 +39,8 @@ class TestBuildWorkspace:
                              W=np.array([[0.0], [1.0]]),
                              beta=np.zeros(1), sigma2=1.0, tau2=1.0)
         ws = build_workspace(params)
-        assert_rel_close(ws.P, np.diag([2.0, 1.0]), 1e-15)
-        assert_rel_close(ws.Q, np.diag([2.0, 2.0]), 1e-15)
+        # P = diag(2, 1), Q = diag(2, 2)
+        assert_rel_close([ws.logdet_P, ws.logdet_Q], [np.log(2.0), 2.0 * np.log(2.0)], 1e-15)
         assert_rel_close(ws.A, [[0.5]], 1e-15)
 
     def test_woodbury_identity_random_instance(self, rng):
@@ -62,12 +62,13 @@ class TestBuildWorkspace:
             assert rel <= 1e-10
 
     def test_cholesky_pivots_bounded_below_by_sigma(self, rng):
+        # the pivots of sigma2 I + U'U are >= sigma, so those of its inverse factor are <= 1/sigma
         for _ in range(20):
             params = random_params(rng, 8, 3)
             ws = build_workspace(params)
             sigma = np.sqrt(params.sigma2)
-            assert np.min(np.diag(ws.chol_P)) >= sigma * (1 - 1e-12)
-            assert np.min(np.diag(ws.chol_Q)) >= sigma * (1 - 1e-12)
+            assert np.max(np.diag(ws.Li_P)) <= (1 + 1e-12) / sigma
+            assert np.max(np.diag(ws.Li_Q)) <= (1 + 1e-12) / sigma
 
     def test_logdets_match_slogdet(self, rng):
         params = random_params(rng, 7, 3)

@@ -1,11 +1,14 @@
 """Optimizer: initialization, monotone ascent, determinism, recovery."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from contrareg import (Dataset, DegenerateData, FitConfig, GenConfig,
                        ShapeMismatch, build_workspace, fit, generate,
                        initialize, latent_posterior, predict, r_squared)
+from contrareg import optimizer
 from contrareg.model import _evaluate, _grad_vector
 
 
@@ -72,6 +75,24 @@ class TestFit:
         assert r1.ll_trace == r2.ll_trace
         assert r1.best_restart == r2.best_restart
 
+    def test_deterministic_init_solved_once(self, monkeypatch):
+        data, _ = generate(GenConfig(n=40, m=40, p=4, d=2, seed=9))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return initialize(*args)
+
+        monkeypatch.setattr(optimizer, "initialize", counted)
+        multi = fit(data, FitConfig(d=2, max_iter=150, restarts=3, seed=9,
+                                    init="pca_warm_start"))
+        assert len(calls) == 1
+        single = fit(data, FitConfig(d=2, max_iter=150, restarts=0, seed=9,
+                                     init="pca_warm_start"))
+        assert _params_equal(multi.params, single.params)
+        assert multi.ll_trace == single.ll_trace
+        assert (multi.converged, multi.best_restart) == (single.converged, single.best_restart)
+
     def test_restart_selection_dominates_single_start(self):
         data, _ = generate(GenConfig(n=40, m=40, p=4, d=2, seed=13))
         multi = fit(data, FitConfig(d=2, max_iter=150, restarts=3, seed=13))
@@ -125,7 +146,10 @@ class TestFit:
     def test_p_much_larger_than_n(self):
         # p = 20 000: one dense p x p matrix would take 3.2 GB
         data, _ = generate(GenConfig(n=20, m=20, p=20_000, d=2, seed=3))
-        result = fit(data, FitConfig(d=2, max_iter=3, restarts=0, seed=3))
+        # trials whose sigma2 overflows are rejected as typed failures, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = fit(data, FitConfig(d=2, max_iter=3, restarts=0, seed=3))
         assert np.all(np.isfinite(result.ll_trace)) and len(result.ll_trace) == 4
         x = data.X[0] - result.center_x
         dist = predict(result.params, x)

@@ -20,3 +20,15 @@ def test_benchmark_selftest_passes():
     proc = subprocess.run([sys.executable, os.path.join(ROOT, "bench", "selftest.py")],
                           cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported only by the functions that use it; start-up of every CLI process
+    # pays for what the package imports
+    code = ("import sys, contrareg, contrareg.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
