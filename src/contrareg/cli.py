@@ -33,13 +33,16 @@ _MODE_NAMES = {"line-search": "line_search_ascent", "adam": "adaptive_moment"}
 
 def _add_fit_flags(sub):
     sub.add_argument("--alpha", type=float, default=1.0)
-    sub.add_argument("--tol", type=float, default=1e-4)
+    sub.add_argument("--tol", type=float, default=1e-4,
+                     help="line search: stop at |g|_inf <= tol * max(1, |ll|) / n; "
+                          "adam: stop after 3 relative changes of ll below tol")
     sub.add_argument("--max-iter", type=int, default=5000)
     sub.add_argument("--mode", choices=sorted(_MODE_NAMES), default="line-search")
     sub.add_argument("--restarts", type=int, default=3,
                      help="extra seeded starts; pca-warm-start is deterministic and runs once")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--step0", type=float, default=1e-2)
+    sub.add_argument("--step0", type=float, default=1e-2,
+                     help="learning rate of --mode adam; the line search does not read it")
     sub.add_argument("--init", choices=["random-normal", "pca-warm-start"],
                      default="random-normal")
 

@@ -290,33 +290,39 @@ def _evaluate(params, data, alpha, want_grad):
         return ll, None
 
     # --- gradient ---------------------------------------------------------
-    kappa = (E2 / s - n) / (2.0 * s)               # d ll / d s
-    T = XV @ Li                                    # X Q^-1 U
-    XQi = X - XV @ V.T
-    XQi /= s2                                      # X Q^-1
-    w = e @ XQi                                    # Q^-1 X' e
-    wU = T.T @ e                                   # U' Q^-1 X' e
-    vU = ws.U.T @ v
-    u = ws.A @ beta
+    # at a tiny noise variance d ll / d s overflows and the blocks turn into
+    # inf - inf: a typed failure, without floating-point warnings
+    with np.errstate(all="ignore"):
+        kappa = (E2 / s - n) / (2.0 * s)           # d ll / d s
+        T = XV @ Li                                # X Q^-1 U
+        XQi = X - XV @ V.T
+        XQi /= s2                                  # X Q^-1
+        w = e @ XQi                                # Q^-1 X' e
+        wU = T.T @ e                               # U' Q^-1 X' e
+        vU = ws.U.T @ v
+        u = ws.A @ beta
 
-    # d ll / d U for U = [S W], through Q in the Gaussian term and in v and s
-    dU = (np.outer(2.0 * kappa * v - w / s, vU) - np.outer(v, wU) / s
-          - n * (V @ Li) + XQi.T @ T)
-    dS = dU[:, :d]
-    dW = dU[:, d:] + np.outer(w / s - 2.0 * kappa * v, beta)
-    dbeta = 2.0 * kappa * u + wU[d:] / s
-    dtau2 = kappa
-    tr_Qi = (p - np.vdot(V, V)) / s2
-    dsigma2 = (kappa * (v @ v) - (w @ v) / s
-               - 0.5 * n * tr_Qi + 0.5 * np.vdot(XQi, XQi))
+        # d ll / d U for U = [S W], through Q in the Gaussian term and in v and s
+        dU = (np.outer(2.0 * kappa * v - w / s, vU) - np.outer(v, wU) / s
+              - n * (V @ Li) + XQi.T @ T)
+        dS = dU[:, :d]
+        dW = dU[:, d:] + np.outer(w / s - 2.0 * kappa * v, beta)
+        dbeta = 2.0 * kappa * u + wU[d:] / s
+        dtau2 = kappa
+        tr_Qi = (p - np.vdot(V, V)) / s2
+        dsigma2 = (kappa * (v @ v) - (w @ v) / s
+                   - 0.5 * n * tr_Qi + 0.5 * np.vdot(XQi, XQi))
 
-    if use_bg:
-        V_P, Li_P = ws.V_P, ws.Li_P
-        YPi = Y - YV @ V_P.T
-        YPi /= s2                                  # Y P^-1
-        dS = dS + alpha * (-m * (V_P @ Li_P) + YPi.T @ (YV @ Li_P))
-        tr_Pi = (p - np.vdot(V_P, V_P)) / s2
-        dsigma2 += alpha * (-0.5 * m * tr_Pi + 0.5 * np.vdot(YPi, YPi))
+        if use_bg:
+            V_P, Li_P = ws.V_P, ws.Li_P
+            YPi = Y - YV @ V_P.T
+            YPi /= s2                              # Y P^-1
+            dS = dS + alpha * (-m * (V_P @ Li_P) + YPi.T @ (YV @ Li_P))
+            tr_Pi = (p - np.vdot(V_P, V_P)) / s2
+            dsigma2 += alpha * (-0.5 * m * tr_Pi + 0.5 * np.vdot(YPi, YPi))
+    if not (np.isfinite(dsigma2) and np.isfinite(dtau2) and np.isfinite(dS).all()
+            and np.isfinite(dW).all() and np.isfinite(dbeta).all()):
+        raise FactorizationError("gradient is not finite (noise-variance underflow)")
 
     grad = GradientSet(dS=dS, dW=dW, dbeta=dbeta,
                        dsigma2=float(dsigma2), dtau2=float(dtau2))
@@ -339,7 +345,11 @@ def grad_log_likelihood(params: ModelParams, data: Dataset, alpha: float = 1.0) 
 
 
 def log_likelihood_and_grad(params, data, alpha=1.0):
-    """One-pass evaluation of objective and gradient (shared factorizations)."""
+    """One-pass evaluation of objective and gradient (shared factorizations).
+
+    Raises FactorizationError where the gradient is not finite, as at a noise
+    variance so small that d ll / d tau2 overflows.
+    """
     _check_pair(params, data, alpha)
     return _evaluate(params, data, alpha, want_grad=True)
 

@@ -1,15 +1,24 @@
-"""Maximum-likelihood fitting by gradient ascent with restarts.
+"""Maximum-likelihood fitting with restarts.
 
-Two step policies are available: backtracking line search (monotone ascent,
-the default) and first/second-moment adaptive steps (Adam-style, not
-monotone).  sigma2 and tau2 are optimized on the log scale so positivity is
-structural.  Data are column-centered with the pooled foreground/background
-mean and the response is mean-centered; the offsets are stored on the result
-and re-applied at prediction time.
+Two solvers are available.  The default, line_search_ascent, is a monotone
+L-BFGS ascent: the two-loop recursion (Nocedal 1980; Nocedal & Wright,
+Alg. 7.4) turns the gradient into a quasi-Newton direction, and an Armijo
+backtracking line search accepts only steps that increase the objective.
+It stops at a stationary point, where the gradient test
+|g|_inf <= tol * max(1, |ll|) / n holds (n foreground rows), or where
+rounding stalls it.  adaptive_moment takes first/second-moment adaptive
+steps (Adam-style, not monotone) with learning rate step0 and stops after
+_PATIENCE small relative changes of the objective.  sigma2 and tau2 are
+optimized on the log scale so positivity is structural.  Data are
+column-centered with the pooled foreground/background mean and the response
+is mean-centered; the offsets are stored on the result and re-applied at
+prediction time.
 """
 
 import time
+from collections import deque
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -23,12 +32,22 @@ INITS = ("random_normal", "pca_warm_start")
 
 _VAR_FLOOR = 1e-6
 _STEP_MIN = 1e-14
-_STEP_MAX = 1e3
-_PATIENCE = 3           # consecutive small relative changes before stopping
+_MEMORY = 10            # L-BFGS curvature pairs kept
+_ARMIJO = 1e-4          # sufficient-increase constant of the line search
+_STALL = 1e-15          # relative change of the objective at rounding level
+_PATIENCE = 3           # adaptive_moment: consecutive small relative changes before stopping
 
 
 @dataclass
 class FitConfig:
+    """Fit settings.
+
+    tol is the stopping tolerance: line_search_ascent stops once
+    |g|_inf <= tol * max(1, |ll|) / n, adaptive_moment after _PATIENCE
+    relative changes of the objective below tol.  step0 is adaptive_moment's
+    learning rate; line_search_ascent does not read it.
+    """
+
     d: int
     alpha: float = 1.0
     tol: float = 1e-4
@@ -130,42 +149,64 @@ def initialize(data: Dataset, config: FitConfig) -> ModelParams:
 # Single-restart solvers
 # ---------------------------------------------------------------------------
 
-def _small_change_streak(streak, ll_new, ll, tol):
-    """Count consecutive steps whose relative change of the objective is below tol."""
-    return streak + 1 if abs(ll_new - ll) / (abs(ll) + 1.0) < tol else 0
+def _lbfgs_direction(g, pairs):
+    """Two-loop recursion: the L-BFGS inverse-Hessian approximation applied to g.
+
+    pairs holds (s, y, 1 / s'y) from oldest to newest, with y the decrease of
+    the gradient, so that the approximated matrix is that of -ll.
+    """
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        a = rho * (s @ q)
+        q -= a * y
+        alphas.append(a)
+    s, y, _ = pairs[-1]
+    q *= (s @ y) / (y @ y)
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        q += (a - rho * (y @ q)) * s
+    return q
 
 
-def _run_line_search(fun, theta0, config):
+def _stationary(g, ll, tol, n):
+    return np.max(np.abs(g)) <= tol * max(1.0, abs(ll)) / n
+
+
+def _run_line_search(fun, theta0, config, n):
     ll, g = fun(theta0)
     if not np.isfinite(ll):
         raise NonFiniteObjective("objective non-finite at the starting point")
     theta = theta0
-    step = config.step0
     trace = [ll]
-    streak = 0
-    converged = False
-    for _ in range(config.max_iter):
-        accepted = False
-        st = step
+    pairs = deque(maxlen=_MEMORY)
+    converged = _stationary(g, ll, config.tol, n)
+    while not converged and len(trace) <= config.max_iter:
+        direction = _lbfgs_direction(g, pairs) if pairs else g
+        slope = g @ direction
+        if slope <= 0.0:
+            # not an ascent direction: restart from steepest ascent
+            pairs.clear()
+            direction, slope = g, g @ g
+        st = 1.0 if pairs else 1.0 / max(1.0, np.linalg.norm(g))
         while st >= _STEP_MIN:
-            cand = theta + st * g
+            cand = theta + st * direction
             ll_c, g_c = fun(cand)
-            if np.isfinite(ll_c) and ll_c > ll:
-                accepted = True
+            if ll_c >= ll + _ARMIJO * st * slope:      # False for a failed (-inf) trial
                 break
             st *= 0.5
-        if not accepted:
-            # no ascent direction step improves the objective: stationary
+        else:
+            # no step increases the objective: a stall at rounding level
             converged = True
             break
-        streak = _small_change_streak(streak, ll_c, ll, config.tol)
+        s, y = cand - theta, g - g_c
+        sy = s @ y
+        if sy > 1e-10 * (y @ y):
+            pairs.append((s, y, 1.0 / sy))
+        stalled = abs(ll_c - ll) <= _STALL * (abs(ll) + 1.0)
         theta, ll, g = cand, ll_c, g_c
         trace.append(ll)
-        step = min(st * 2.0, _STEP_MAX)
-        if streak >= _PATIENCE:
-            converged = True
-            break
-    return theta, g, trace, converged
+        converged = stalled or _stationary(g, ll, config.tol, n)
+    return theta, g, trace, bool(converged)
 
 
 def _run_adaptive_moment(fun, theta0, config):
@@ -192,7 +233,7 @@ def _run_adaptive_moment(fun, theta0, config):
             if not np.isfinite(ll_new):
                 blown_up = True
                 break
-            streak = _small_change_streak(streak, ll_new, ll, config.tol)
+            streak = streak + 1 if abs(ll_new - ll) / (abs(ll) + 1.0) < config.tol else 0
             ll = ll_new
             trace.append(ll)
             if streak >= _PATIENCE:
@@ -238,11 +279,15 @@ def fit(data: Dataset, config: FitConfig) -> FitResult:
             with np.errstate(over="raise"):
                 params = _unpack(theta, p, d)
             ll, grad = _evaluate(params, centered, config.alpha, want_grad=True)
+            g = _grad_vector(params, grad)
         except (FloatingPointError, FactorizationError, ShapeMismatch):
             return -np.inf, None
-        return ll, _grad_vector(params, grad)
+        if not np.all(np.isfinite(g)):
+            return -np.inf, None
+        return ll, g
 
-    runner = _run_line_search if config.mode == "line_search_ascent" else _run_adaptive_moment
+    runner = (partial(_run_line_search, n=data.n) if config.mode == "line_search_ascent"
+              else _run_adaptive_moment)
 
     # pca_warm_start draws nothing at random: every restart would repeat the same solve
     starts = 1 if config.init == "pca_warm_start" else config.restarts + 1

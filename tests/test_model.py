@@ -166,12 +166,13 @@ class TestLogLikelihood:
 # ---------------------------------------------------------------------------
 
 class TestExtremeVariances:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("sigma2", [1e-200, 1e200])
     @pytest.mark.parametrize("tau2", [1e-200, 1e200])
     def test_give_minus_inf_or_factorization_error(self, rng, sigma2, tau2):
         # what a rejected line-search trial can hand the engine: the result is
-        # a finite or -inf objective, or a typed error, never OverflowError or
-        # ZeroDivisionError
+        # a finite or -inf objective with a finite gradient, or a typed error,
+        # never OverflowError, ZeroDivisionError or a RuntimeWarning
         for p, d in ((6, 2), (3, 2)):
             params = replace(random_params(rng, p, d), sigma2=sigma2, tau2=tau2)
             data = random_dataset(rng, 5, 4, p)
@@ -181,6 +182,9 @@ class TestExtremeVariances:
                 continue
             assert np.isfinite(ll) or ll == -np.inf
             assert isinstance(grad.dsigma2, float) and isinstance(grad.dtau2, float)
+            # a gradient that would not be finite is a FactorizationError instead
+            assert all(np.all(np.isfinite(a)) for a in
+                       (grad.dS, grad.dW, grad.dbeta, grad.dsigma2, grad.dtau2))
 
 
 class TestGradients:

@@ -1,13 +1,15 @@
 """Optimizer: initialization, monotone ascent, determinism, recovery."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from contrareg import (Dataset, DegenerateData, FitConfig, GenConfig,
-                       ShapeMismatch, build_workspace, fit, generate,
-                       initialize, latent_posterior, predict, r_squared)
+                       LinesConfig, ShapeMismatch, build_workspace, fit,
+                       generate, generate_lines, initialize, latent_posterior,
+                       pca_linear_baseline, predict, r_squared)
 from contrareg import optimizer
 from contrareg.model import _evaluate, _grad_vector
 
@@ -123,6 +125,48 @@ class TestFit:
                                      restarts=0, seed=31))
         assert result.converged
         assert result.grad_inf_norm <= 1e-2
+
+    def test_converged_means_gradient_test_passed(self):
+        # converged is a stationary point: |g|_inf <= tol * |ll| / n, not a
+        # run of small relative changes of the objective
+        data, _ = generate(GenConfig(n=200, m=200, p=2, d=1, seed=31))
+        config = FitConfig(d=1, tol=1e-4, restarts=0, seed=31)
+        result = fit(data, config)
+        assert result.converged
+        assert result.grad_inf_norm <= config.tol * abs(result.final_ll) / data.n
+
+    def test_default_fit_on_corrupted_lines_predicts(self):
+        # criterion 7's seed-0 split, fitted with the default solver and tol
+        data = generate_lines(LinesConfig(seed=0))
+        perm = np.random.default_rng(1000).permutation(data.X.shape[0])
+        n_train = int(round(data.X.shape[0] * 0.67))
+        tr, te = perm[:n_train], perm[n_train:]
+        train = Dataset(X=data.X[tr], r=data.r[tr], Y=data.Y)
+        result = fit(train, FitConfig(d=2, init="pca_warm_start", seed=0))
+        assert result.converged
+        pred, _ = result.predict(data.X[te])
+        baseline = pca_linear_baseline(train, data.X[te], 2)
+        assert r_squared(pred, data.r[te]) >= r_squared(baseline, data.r[te]) + 0.2
+
+    def test_nonfinite_gradient_trial_rejected(self, monkeypatch):
+        # a trial whose objective is higher but whose gradient is NaN is a
+        # failed trial, not an accepted step
+        data, _ = generate(GenConfig(n=40, m=40, p=4, d=2, seed=9))
+        evaluate = optimizer._evaluate
+        calls = []
+
+        def nan_once(*args, **kwargs):
+            ll, grad = evaluate(*args, **kwargs)
+            calls.append(ll)
+            if len(calls) == 2:
+                grad = replace(grad, dsigma2=float("nan"))
+            return ll, grad
+
+        monkeypatch.setattr(optimizer, "_evaluate", nan_once)
+        result = fit(data, FitConfig(d=2, max_iter=150, restarts=0, seed=9))
+        assert calls[1] > calls[0]
+        assert np.isfinite(result.grad_inf_norm)
+        assert np.all(np.isfinite(result.ll_trace))
 
     def test_adaptive_moment_matches_line_search_objective(self):
         data, _ = generate(GenConfig(n=100, m=100, p=3, d=1, seed=17))
