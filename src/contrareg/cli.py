@@ -148,6 +148,8 @@ def cmd_simulate(args):
 
 
 def cmd_gradcheck(args):
+    if min(args.p, args.d, args.n, args.m, args.trials, args.seed) < 0:
+        raise ShapeMismatch("--p, --d, --n, --m, --trials and --seed must be nonnegative")
     rng_master = np.random.default_rng(args.seed)
     blocks = ("S", "W", "beta", "sigma2", "tau2")
     worst = {b: 0.0 for b in blocks}

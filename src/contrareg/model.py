@@ -12,13 +12,17 @@ x ~ N(0, Q) with Q = P + W W'.  The posterior of t given x is
 N(A W' P^-1 x, A) with A = (W' P^-1 W + I)^-1, which also gives the
 predictive law of r given x.
 
-P and Q are the identity plus rank d and rank 2d (Q = sigma2 I + U U' with
+P and Q are sigma2 I plus rank d and rank 2d (Q = sigma2 I + U U' with
 U = [S W]), so the Woodbury identity and the matrix determinant lemma reduce
 every solve and log-determinant to d x d and 2d x 2d factors (Tipping &
-Bishop 1999; Bishop, PRML 12.2 and App. C).  A likelihood-and-gradient
-evaluation multiplies the data by p x 2d loadings and costs O((n + m) p d) time and
-O((n + m) p + p d) memory; no p x p matrix is formed.  Dense P and Q exist
-only in the test oracles.
+Bishop 1999; Bishop, PRML 12.2 and App. C).  The log-likelihood is
+
+    log N(X; 0, Q) + log N(r | X) + alpha log N(Y; 0, P),
+
+and one low-rank Gaussian routine computes both Gaussian terms and their
+gradients.  An evaluation costs O((n + m) p d) time and O((n + m) p + p d)
+memory; no p x p matrix is formed.  Dense P and Q exist only in the test
+oracles.
 """
 
 from dataclasses import dataclass
@@ -110,13 +114,9 @@ class Dataset:
 class Workspace:
     """Small factors of P and Q for one parameter value.
 
-    With L_P L_P' = sigma2 I_d + S'S, L_Q L_Q' = sigma2 I_2d + U'U and the
-    whitened loadings V_P = S L_P^-T, V_Q = U L_Q^-T,
-
-        P^-1 = (I - V_P V_P') / sigma2,   Q^-1 = (I - V_Q V_Q') / sigma2,
-        log|P| = (p - d) log sigma2 + log|L_P L_P'|  (Q: 2d and L_Q),
-
-    so Q^-1 U = V_Q L_Q^-1, A = (W' P^-1 W + I)^-1 = sigma2 [L_Q^-T L_Q^-1]
+    The P fields are _factor's output for S and the Q fields for U = [S W],
+    so P^-1 = (I - V_P V_P') / sigma2 and Q^-1 U = V_Q L_Q^-1 with
+    L_Q L_Q' = sigma2 I_2d + U'U.  A = (W' P^-1 W + I)^-1 = sigma2 [L_Q^-T L_Q^-1]
     restricted to the W block, and P^-1 W A beta = Q^-1 W beta.  pred_coef
     is that vector v, with predictive mean v' x; pred_var is the
     (x-independent) predictive variance tau2 + beta' A beta.  Building one
@@ -197,15 +197,20 @@ def _grad_vector(params, grad):
 # Workspace construction
 # ---------------------------------------------------------------------------
 
-def _inverse_factor(M, label):
-    """L^-1 and log|M| for the lower Cholesky factor L of a small SPD matrix M."""
-    if not np.all(np.isfinite(M)):
+def _factor(U, s2, label):
+    """V = U L^-T, L^-1 and log|sigma2 I + U U'| for L L' = sigma2 I + U'U."""
+    p, k = U.shape
+    with np.errstate(over="ignore"):       # overflowing loadings: FactorizationError below
+        M = U.T @ U
+    M.ravel()[::k + 1] += s2
+    if not np.isfinite(M).all():
         raise FactorizationError(f"{label} contains non-finite entries")
     try:
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"{label} is numerically non-SPD: {exc}") from exc
-    return np.linalg.inv(L), 2.0 * np.sum(np.log(np.diag(L)))
+    Li = np.linalg.inv(L)
+    return U @ Li.T, Li, float((p - k) * np.log(s2) + 2.0 * np.log(L.diagonal()).sum())
 
 
 def build_workspace(params: ModelParams) -> Workspace:
@@ -213,22 +218,18 @@ def build_workspace(params: ModelParams) -> Workspace:
     params.validate()
     S, W = np.asarray(params.S, float), np.asarray(params.W, float)
     beta = np.asarray(params.beta, float)
-    p, d = S.shape
+    d = S.shape[1]
     s2 = np.float64(params.sigma2)
     U = np.hstack([S, W])
-    M = U.T @ U + s2 * np.eye(2 * d)           # sigma2 I_2d + U'U; M[:d, :d] = sigma2 I_d + S'S
-    Li_P, logdet_MP = _inverse_factor(M[:d, :d], "sigma2 I + S'S")
-    Li_Q, logdet_MQ = _inverse_factor(M, "sigma2 I + U'U")
-    V_Q = U @ Li_Q.T
-    log_s2 = np.log(s2)
+    V_P, Li_P, logdet_P = _factor(S, s2, "sigma2 I + S'S")
+    V_Q, Li_Q, logdet_Q = _factor(U, s2, "sigma2 I + U'U")
 
     Li_W = Li_Q[:, d:]                         # L_Q^-1 restricted to the W block
     A = s2 * (Li_W.T @ Li_W)
     pred_var = params.tau2 + float(beta @ (A @ beta))
     pred_coef = V_Q @ (Li_W @ beta)
-    return Workspace(U=U, Li_P=Li_P, Li_Q=Li_Q, V_P=S @ Li_P.T, V_Q=V_Q,
-                     A=A, logdet_P=float((p - d) * log_s2 + logdet_MP),
-                     logdet_Q=float((p - 2 * d) * log_s2 + logdet_MQ),
+    return Workspace(U=U, Li_P=Li_P, Li_Q=Li_Q, V_P=V_P, V_Q=V_Q, A=A,
+                     logdet_P=logdet_P, logdet_Q=logdet_Q,
                      pred_var=pred_var, pred_coef=pred_coef)
 
 
@@ -245,88 +246,81 @@ def _check_pair(params, data, alpha):
         raise ShapeMismatch(f"alpha must be nonnegative, got {alpha}")
 
 
+def _gaussian(Z, V, Li, logdet, s2, want_grad):
+    """Sum over the rows z of Z of log N(z; 0, C), C = sigma2 I + U U'.
+
+    V, Li and logdet are _factor's for U: C^-1 = (I - V V') / sigma2 and
+    C^-1 U = V Li.  With want_grad it also returns d/dU, d/dsigma2 and the
+    solves Z C^-1 U and Z C^-1.  Forming Z C^-1 rather than expanding its
+    squared norm keeps rounding from being amplified by 1/sigma2, an
+    eigenvalue of (sigma2 I + U'U)^-1 when U has p or more columns.
+    """
+    n, p = Z.shape
+    ZV = Z @ V
+    ll = -0.5 * (n * (logdet + p * LOG_2PI) + (np.vdot(Z, Z) - np.vdot(ZV, ZV)) / s2)
+    if not want_grad:
+        return ll, None
+    ZCiU = ZV @ Li
+    ZCi = Z - ZV @ V.T
+    ZCi /= s2
+    dU = ZCi.T @ ZCiU - n * (V @ Li)
+    ds2 = 0.5 * (np.vdot(ZCi, ZCi) - n * (p - np.vdot(V, V)) / s2)
+    return ll, (dU, ds2, ZCiU, ZCi)
+
+
 def _evaluate(params, data, alpha, want_grad):
     """Shared evaluation of the log-likelihood and (optionally) its gradient.
 
-    Everything follows from the workspace's small factors and the products
-    X V_Q and Y V_P: tr(Q^-1 X'X) = (|X|_F^2 - |X V_Q|_F^2) / sigma2, and the
-    gradient's solves against the data, X Q^-1 = (X - X V_Q V_Q') / sigma2
-    and Y P^-1 likewise, are n x p and m x p.  Working with the whitened
-    loadings rather than (sigma2 I + U'U)^-1, which has a 1/sigma2
-    eigenvalue when 2d > p, and forming those solves instead of expanding
-    their squared norms keep rounding from being amplified by 1/sigma2.
+    log p = log N(X; 0, Q) + log N(r | X) + alpha log N(Y; 0, P), with both
+    Gaussian terms from _gaussian.  r | x is N(v' x, s), v = pred_coef and
+    s = pred_var; its gradient reuses the foreground's X Q^-1 and X Q^-1 U.
+    At a tiny noise variance the gradient overflows into inf - inf: a
+    non-finite ll is -inf and a non-finite gradient a FactorizationError,
+    without floating-point warnings.
     """
     ws = build_workspace(params)
-    p, d = params.p, params.d
+    d = params.d
     s2 = np.float64(params.sigma2)
     beta = np.asarray(params.beta, float)
     X = np.asarray(data.X, float)
     r = np.asarray(data.r, float)
     n = X.shape[0]
-    V, Li = ws.V_Q, ws.Li_Q
     v = ws.pred_coef                               # Q^-1 W beta = P^-1 W A beta
     s = np.float64(ws.pred_var)                    # tau2 + beta' A beta
-
-    XV = X @ V
-    e = r - X @ v
-    E2 = e @ e
-    quad_x = (np.vdot(X, X) - np.vdot(XV, XV)) / s2
-
-    ll = (-0.5 * n * np.log(s) - 0.5 * E2 / s
-          - 0.5 * n * ws.logdet_Q - 0.5 * quad_x
-          - 0.5 * n * (p + 1) * LOG_2PI)
-
     use_bg = alpha > 0.0 and data.m > 0
-    if use_bg:
-        Y = np.asarray(data.Y, float)
-        m = Y.shape[0]
-        YV = Y @ ws.V_P
-        quad_y = (np.vdot(Y, Y) - np.vdot(YV, YV)) / s2
-        ll += alpha * (-0.5 * m * ws.logdet_P - 0.5 * quad_y - 0.5 * m * p * LOG_2PI)
 
-    if not np.isfinite(ll):
-        ll = -np.inf
-    if not want_grad:
-        return ll, None
-
-    # --- gradient ---------------------------------------------------------
-    # at a tiny noise variance d ll / d s overflows and the blocks turn into
-    # inf - inf: a typed failure, without floating-point warnings
     with np.errstate(all="ignore"):
+        ll, gx = _gaussian(X, ws.V_Q, ws.Li_Q, ws.logdet_Q, s2, want_grad)
+        e = r - X @ v
+        E2 = e @ e
+        ll += -0.5 * (n * (np.log(s) + LOG_2PI) + E2 / s)
+        if use_bg:
+            ll_y, gy = _gaussian(np.asarray(data.Y, float), ws.V_P, ws.Li_P,
+                                 ws.logdet_P, s2, want_grad)
+            ll += alpha * ll_y
+        if not np.isfinite(ll):
+            ll = -np.inf
+        if not want_grad:
+            return ll, None
+
+        dU, dsigma2, T, XQi = gx                   # T = X Q^-1 U
         kappa = (E2 / s - n) / (2.0 * s)           # d ll / d s
-        T = XV @ Li                                # X Q^-1 U
-        XQi = X - XV @ V.T
-        XQi /= s2                                  # X Q^-1
         w = e @ XQi                                # Q^-1 X' e
         wU = T.T @ e                               # U' Q^-1 X' e
-        vU = ws.U.T @ v
-        u = ws.A @ beta
-
-        # d ll / d U for U = [S W], through Q in the Gaussian term and in v and s
-        dU = (np.outer(2.0 * kappa * v - w / s, vU) - np.outer(v, wU) / s
-              - n * (V @ Li) + XQi.T @ T)
+        # the regression term reaches U through Q in v and in s
+        dU += np.outer(2.0 * kappa * v - w / s, ws.U.T @ v) - np.outer(v, wU) / s
+        dsigma2 += kappa * (v @ v) - (w @ v) / s
+        if use_bg:
+            dU[:, :d] += alpha * gy[0]
+            dsigma2 += alpha * gy[1]
         dS = dU[:, :d]
         dW = dU[:, d:] + np.outer(w / s - 2.0 * kappa * v, beta)
-        dbeta = 2.0 * kappa * u + wU[d:] / s
-        dtau2 = kappa
-        tr_Qi = (p - np.vdot(V, V)) / s2
-        dsigma2 = (kappa * (v @ v) - (w @ v) / s
-                   - 0.5 * n * tr_Qi + 0.5 * np.vdot(XQi, XQi))
-
-        if use_bg:
-            V_P, Li_P = ws.V_P, ws.Li_P
-            YPi = Y - YV @ V_P.T
-            YPi /= s2                              # Y P^-1
-            dS = dS + alpha * (-m * (V_P @ Li_P) + YPi.T @ (YV @ Li_P))
-            tr_Pi = (p - np.vdot(V_P, V_P)) / s2
-            dsigma2 += alpha * (-0.5 * m * tr_Pi + 0.5 * np.vdot(YPi, YPi))
-    if not (np.isfinite(dsigma2) and np.isfinite(dtau2) and np.isfinite(dS).all()
+        dbeta = 2.0 * kappa * (ws.A @ beta) + wU[d:] / s
+    if not (np.isfinite(dsigma2) and np.isfinite(kappa) and np.isfinite(dS).all()
             and np.isfinite(dW).all() and np.isfinite(dbeta).all()):
         raise FactorizationError("gradient is not finite (noise-variance underflow)")
-
-    grad = GradientSet(dS=dS, dW=dW, dbeta=dbeta,
-                       dsigma2=float(dsigma2), dtau2=float(dtau2))
-    return ll, grad
+    return ll, GradientSet(dS=dS, dW=dW, dbeta=dbeta,
+                           dsigma2=float(dsigma2), dtau2=float(kappa))
 
 
 def log_likelihood(params: ModelParams, data: Dataset, alpha: float = 1.0) -> float:

@@ -10,8 +10,9 @@ rounding stalls it.  adaptive_moment takes first/second-moment adaptive
 steps (Adam-style, not monotone) with learning rate step0 and stops after
 _PATIENCE small relative changes of the objective.  sigma2 and tau2 are
 optimized on the log scale so positivity is structural.  Data are
-column-centered with the pooled foreground/background mean and the response
-is mean-centered; the offsets are stored on the result and re-applied at
+column-centered with the pooled foreground/background mean (the foreground
+mean when alpha = 0 or there is no background) and the response is
+mean-centered; the offsets are stored on the result and re-applied at
 prediction time.
 """
 
@@ -71,6 +72,8 @@ class FitConfig:
             raise ShapeMismatch(f"init must be one of {INITS}, got {self.init!r}")
         if self.step0 <= 0 or self.restarts < 0 or self.alpha < 0:
             raise ShapeMismatch("step0 must be > 0, restarts >= 0, alpha >= 0")
+        if not 0 <= self.seed < 2**64:
+            raise ShapeMismatch(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 @dataclass
@@ -128,21 +131,24 @@ def initialize(data: Dataset, config: FitConfig) -> ModelParams:
         beta = 0.1 * rng.standard_normal(d)
         return ModelParams(S=S, W=W, beta=beta, sigma2=sigma2, tau2=tau2)
 
-    # pca_warm_start
-    _, svals, Vt = np.linalg.svd(pooled, full_matrices=False)
-    ncomp = min(d, svals.size)
-    scale = svals[:ncomp] / np.sqrt(max(pooled.shape[0], 1))
-    S = np.zeros((p, d))
-    S[:, :ncomp] = Vt[:ncomp].T * scale
+    # pca_warm_start: S from the pooled rows, W from the foreground's residual off span(S)
+    S, span = _ppca_loadings(pooled, d)
     Xc = np.asarray(data.X, float) - np.asarray(data.X, float).mean(axis=0)
-    span = Vt[:ncomp].T
-    resid = Xc - (Xc @ span) @ span.T
-    _, rs, RVt = np.linalg.svd(resid, full_matrices=False)
-    ncomp_w = min(d, rs.size)
-    W = np.zeros((p, d))
-    W[:, :ncomp_w] = RVt[:ncomp_w].T * (rs[:ncomp_w] / np.sqrt(max(data.n, 1)))
-    beta = np.zeros(d)
-    return ModelParams(S=S, W=W, beta=beta, sigma2=sigma2, tau2=tau2)
+    W, _ = _ppca_loadings(Xc - (Xc @ span) @ span.T, d)
+    return ModelParams(S=S, W=W, beta=np.zeros(d), sigma2=sigma2, tau2=tau2)
+
+
+def _ppca_loadings(Z, d):
+    """PPCA loadings of the centered rows Z as sigma2 -> 0 (Tipping & Bishop 1999).
+
+    The top-d right singular vectors times singular value / sqrt(rows),
+    zero-padded to d columns, and those singular vectors.
+    """
+    _, svals, Vt = np.linalg.svd(Z, full_matrices=False)
+    k = min(d, svals.size)
+    loadings = np.zeros((Z.shape[1], d))
+    loadings[:, :k] = Vt[:k].T * (svals[:k] / np.sqrt(max(Z.shape[0], 1)))
+    return loadings, Vt[:k].T
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,8 @@ def cross_validate(data: Dataset, d_grid, k: int, config: FitConfig) -> CVReport
     for d in d_grid:
         if not 1 <= d <= data.p:
             raise ShapeMismatch(f"need 1 <= d <= p={data.p} for every grid entry, got d={d}")
+    # an invalid config fails every cell alike: raise it instead of a NaN report
+    replace(config, d=d_grid[0]).validate()
 
     rng = np.random.default_rng(config.seed)
     folds = np.array_split(rng.permutation(data.n), k)

@@ -25,8 +25,8 @@ class GenConfig:
     def validate(self):
         if self.p < 1 or self.d < 1 or self.d > self.p:
             raise ShapeMismatch(f"need 1 <= d <= p, got d={self.d}, p={self.p}")
-        if self.n < 0 or self.m < 0:
-            raise ShapeMismatch("n and m must be nonnegative")
+        if self.n < 0 or self.m < 0 or self.seed < 0:
+            raise ShapeMismatch("n, m and seed must be nonnegative")
 
 
 @dataclass
@@ -51,8 +51,8 @@ class LinesConfig:
     def validate(self):
         if self.image_side < 1 or self.n_fg < 1 or self.n_bg < 1:
             raise ShapeMismatch("image_side, n_fg, n_bg must be positive")
-        if self.background_rank < 0 or self.noise_sd < 0:
-            raise ShapeMismatch("background_rank and noise_sd must be nonnegative")
+        if self.background_rank < 0 or self.noise_sd < 0 or self.seed < 0:
+            raise ShapeMismatch("background_rank, noise_sd and seed must be nonnegative")
         if not 0 <= self.line_column < self.image_side:
             raise ShapeMismatch(
                 f"line_column must be in [0, {self.image_side}), got {self.line_column}")

@@ -4,6 +4,7 @@ The oracles deliberately use explicit inverses and brute-force Gaussian
 densities so they share no code path with the library implementation.
 """
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -134,6 +135,76 @@ def oracle_fisher_information(params, n, m):
             info[i, j] = (0.5 * n * np.sum(AF[i] * AF[j].T)
                           + 0.5 * m * np.sum(AP[i] * AP[j].T))
     return info
+
+
+def _mp_gaussian_logpdf(rows, cov):
+    """Sum of log N(z; 0, cov) over rows, in mpmath at the current precision."""
+    L = mpmath.cholesky(cov)
+    k = cov.rows
+    logdet = 2 * mpmath.fsum(mpmath.log(L[i, i]) for i in range(k))
+    total = mpmath.mpf(0)
+    for z in rows:
+        w = []                       # L^-1 z by forward substitution
+        for i in range(k):
+            w.append((z[i] - mpmath.fsum(L[i, j] * w[j] for j in range(i))) / L[i, i])
+        total -= (k * mpmath.log(2 * mpmath.pi) + logdet + mpmath.fsum(c * c for c in w)) / 2
+    return total
+
+
+def _mp_log_likelihood(theta, p, d, fg_rows, bg_rows, alpha):
+    S = mpmath.matrix(p, d)
+    W = mpmath.matrix(p, d)
+    for i in range(p):
+        for j in range(d):
+            S[i, j] = theta[i * d + j]
+            W[i, j] = theta[p * d + i * d + j]
+    beta = mpmath.matrix(theta[2 * p * d:2 * p * d + d])
+    sigma2, tau2 = theta[-2], theta[-1]
+    P = S * S.T + sigma2 * mpmath.eye(p)
+    F = mpmath.matrix(p + 1, p + 1)  # joint covariance of [x; r]
+    Q = P + W * W.T
+    Wb = W * beta
+    for i in range(p):
+        F[i, p] = F[p, i] = Wb[i]
+        for j in range(p):
+            F[i, j] = Q[i, j]
+    F[p, p] = (beta.T * beta)[0] + tau2
+    return (_mp_gaussian_logpdf(fg_rows, F)
+            + alpha * _mp_gaussian_logpdf(bg_rows, P))
+
+
+def mp_reference(params, data, alpha=1.0, dps=60, step="1e-20"):
+    """log-likelihood and its gradient from the dense joint density at dps digits.
+
+    Foreground rows [x; r] are N(0, F) with F = [[Q, W beta], [beta' W',
+    beta' beta + tau2]], background rows N(0, P).  The gradient blocks
+    (dS, dW, dbeta, dsigma2, dtau2) are central differences with the given
+    step; at 60 digits their rounding and truncation errors are about 1e-40.
+    """
+    p, d = params.p, params.d
+    with mpmath.workdps(dps):
+        theta = [mpmath.mpf(float(v)) for v in
+                 np.concatenate([np.ravel(params.S), np.ravel(params.W),
+                                 np.ravel(params.beta), [params.sigma2, params.tau2]])]
+        fg_rows = [[mpmath.mpf(float(v)) for v in row] + [mpmath.mpf(float(ri))]
+                   for row, ri in zip(np.asarray(data.X, float), np.asarray(data.r, float))]
+        bg_rows = [[mpmath.mpf(float(v)) for v in row] for row in np.asarray(data.Y, float)]
+        a = mpmath.mpf(float(alpha))
+        h = mpmath.mpf(step)
+
+        def ll(th):
+            return _mp_log_likelihood(th, p, d, fg_rows, bg_rows, a)
+
+        grad = []
+        for i in range(len(theta)):
+            plus, minus = list(theta), list(theta)
+            plus[i] += h
+            minus[i] -= h
+            grad.append(float((ll(plus) - ll(minus)) / (2 * h)))
+        k = p * d
+        blocks = (np.reshape(grad[:k], (p, d)), np.reshape(grad[k:2 * k], (p, d)),
+                  np.array(grad[2 * k:2 * k + d]), grad[-2], grad[-1])
+        return float(ll(theta)), blocks
 
 
 def random_orthogonal(rng, d):

@@ -199,6 +199,14 @@ class TestCvCommand:
                        "--k", "61") == 3
         capsys.readouterr()
 
+    def test_invalid_config_exit_3(self, dataset_files, capsys):
+        # every cell would fail alike, which must not read as an all-null report
+        fg, bg, _, _ = dataset_files
+        assert run_cli("cv", "--foreground", str(fg), "--background", str(bg),
+                       "--response-col", "response", "--d-grid", "1,2",
+                       "--k", "3", "--max-iter", "0") == 3
+        assert "max_iter" in capsys.readouterr().err
+
     @pytest.mark.parametrize("grid", [",", "a", "1,x", "0,1"])
     def test_bad_d_grid_exit_3(self, dataset_files, capsys, grid):
         fg, bg, _, _ = dataset_files
@@ -309,6 +317,29 @@ class TestRankCommand:
         assert run_cli("rank", "--model", str(model),
                        "--out", str(tmp_path / "r.csv")) == 4
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("fit", ["--seed", "-1"]),
+    ("fit", ["--seed", str(2**64)]),
+    ("cv", ["--seed", "-1"]),
+    ("simulate", ["--seed", "-1"]),
+    ("simulate", ["--lines", "--seed", "-1"]),
+    ("gradcheck", ["--n", "-1"]),
+    ("gradcheck", ["--m", "-1"]),
+    ("gradcheck", ["--trials", "-1"]),
+])
+def test_negative_seed_or_size_exit_3(dataset_files, tmp_path, capsys, command, flags):
+    fg, bg, _, _ = dataset_files
+    data_flags = ["--foreground", str(fg), "--background", str(bg),
+                  "--response-col", "response"]
+    argv = {"fit": data_flags + ["-d", "1", "--out", str(tmp_path / "m.json")],
+            "cv": data_flags + ["--d-grid", "1,2", "--k", "3"],
+            "simulate": ["--n", "5", "--m", "5", "--p", "2", "--d", "1",
+                         "--out-prefix", str(tmp_path / "s")],
+            "gradcheck": []}[command]
+    assert run_cli(command, *argv, *flags) == 3
+    assert "error:" in capsys.readouterr().err
 
 
 class TestConsoleScript:

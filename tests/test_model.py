@@ -12,7 +12,7 @@ from contrareg import (Dataset, FactorizationError, ModelParams,
                        predict)
 from contrareg.model import log_likelihood_and_grad
 
-from conftest import (assert_rel_close, dense_A, dense_P, dense_Q,
+from conftest import (assert_rel_close, dense_A, dense_P, dense_Q, mp_reference,
                       oracle_conditional, oracle_log_likelihood, random_dataset,
                       random_orthogonal, random_params)
 
@@ -226,8 +226,8 @@ class TestGradients:
                          (ana.dsigma2, num.dsigma2), (ana.dtau2, num.dtau2)):
                 np.testing.assert_allclose(np.atleast_1d(a), np.atleast_1d(b),
                                            rtol=1e-4, atol=1e-8)
-        # sigma2 = 1e-6 is checked against the oracle in TestLogLikelihood only:
-        # there a central difference cannot resolve the gradient at rtol 1e-4
+        # at sigma2 = 1e-6 a central difference cannot resolve the gradient at
+        # rtol 1e-4: test_matches_60_digit_reference_at_tiny_sigma2 covers it
         for n, m, p, d in REGIMES:
             for sigma2 in (1e-2, 1.0):
                 params = replace(random_params(rng, p, d), sigma2=sigma2)
@@ -239,6 +239,23 @@ class TestGradients:
                              (ana.dsigma2, num.dsigma2), (ana.dtau2, num.dtau2)):
                     np.testing.assert_allclose(np.atleast_1d(a), np.atleast_1d(b),
                                                rtol=1e-4, atol=1e-8)
+
+    def test_matches_60_digit_reference_at_tiny_sigma2(self, rng):
+        # shapes with 2d >= p, where no direction carries only noise, and one
+        # with p > 2d; the error of a block is taken relative to its largest
+        # entry, since an entry far below that sits at double rounding level
+        for n, m, p, d in ((7, 2, 1, 1), (1, 1, 2, 1), (3, 3, 4, 2), (5, 4, 3, 2),
+                           (4, 4, 6, 2)):
+            for _ in range(4):
+                params = replace(random_params(rng, p, d), sigma2=1e-6)
+                data = random_dataset(rng, n, m, p)
+                ref_ll, ref = mp_reference(params, data)
+                ll, grad = log_likelihood_and_grad(params, data)
+                assert abs(ll - ref_ll) <= 1e-7 * abs(ref_ll)
+                for a, b in zip((grad.dS, grad.dW, grad.dbeta, grad.dsigma2, grad.dtau2),
+                                ref):
+                    err = np.max(np.abs(np.subtract(a, b))) / np.max(np.abs(b))
+                    assert err <= 1e-7, (n, m, p, d, err)
 
     def test_finite_diff_second_order_convergence(self, rng):
         params = random_params(rng, 4, 2)

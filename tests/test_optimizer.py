@@ -214,6 +214,14 @@ class TestFit:
         with pytest.raises(DegenerateData):
             fit(data, FitConfig(d=1))
 
+    def test_seed_outside_restart_seed_range_rejected(self):
+        # _restart_seed takes the seed as np.uint64
+        for seed in (-1, 2**64):
+            with pytest.raises(ShapeMismatch):
+                FitConfig(d=1, seed=seed).validate()
+        FitConfig(d=1, seed=2**64 - 1).validate()
+        assert optimizer._restart_seed(2**64 - 1, 0) >= 0
+
     def test_invalid_config_rejected(self):
         data, _ = generate(GenConfig(n=10, m=10, p=3, d=1, seed=0))
         with pytest.raises(ShapeMismatch):

@@ -69,6 +69,14 @@ class TestCrossValidate:
                                 FitConfig(d=1, restarts=0, max_iter=20))
         assert report.d_grid == [1] and type(report.d_grid[0]) is int
 
+    @pytest.mark.parametrize("bad", [dict(tol=0.0), dict(mode="newton"),
+                                     dict(max_iter=0), dict(seed=-1)])
+    def test_invalid_config_raises_instead_of_nan_report(self, bad):
+        # every cell would fail alike, which reads as an all-NaN report
+        data, _ = generate(GenConfig(n=10, m=5, p=3, d=1, seed=0))
+        with pytest.raises(ShapeMismatch):
+            cross_validate(data, [1, 2], 2, FitConfig(d=1, restarts=0, **bad))
+
 
 class TestPcaLinearBaseline:
     def test_exact_rank_d_is_perfect_on_train(self, rng):

@@ -56,6 +56,8 @@ class TestGenerate:
             generate(GenConfig(n=5, m=5, p=2, d=3, seed=0))
         with pytest.raises(ShapeMismatch):
             generate(GenConfig(n=-1, m=5, p=2, d=1, seed=0))
+        with pytest.raises(ShapeMismatch):
+            generate(GenConfig(n=5, m=5, p=2, d=1, seed=-1))
 
 
 class TestEstimationErrors:
@@ -142,6 +144,8 @@ class TestGenerateLines:
             generate_lines(LinesConfig(line_column=28))
         with pytest.raises(ShapeMismatch):
             generate_lines(LinesConfig(noise_sd=-0.1))
+        with pytest.raises(ShapeMismatch):
+            generate_lines(LinesConfig(seed=-1))
 
 
 class TestRSquared:
