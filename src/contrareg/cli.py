@@ -136,6 +136,8 @@ def cmd_simulate(args):
         config = GenConfig(n=args.n, m=args.m, p=args.p, d=args.d, seed=args.seed)
         data, truth = generate(config)
     names = data.feature_names or [f"f{i}" for i in range(data.p)]
+    if args.response_col in names:
+        raise ShapeMismatch(f"--response-col {args.response_col!r} is also a feature name")
     io.write_table(args.out_prefix + "_foreground.csv", data.X, names,
                    responses=data.r, response_col=args.response_col)
     io.write_table(args.out_prefix + "_background.csv", data.Y, names)
@@ -150,6 +152,9 @@ def cmd_simulate(args):
 def cmd_gradcheck(args):
     if min(args.p, args.d, args.n, args.m, args.trials, args.seed) < 0:
         raise ShapeMismatch("--p, --d, --n, --m, --trials and --seed must be nonnegative")
+    if not (0 <= args.rtol < np.inf and 0 < args.step < np.inf):
+        raise ShapeMismatch(f"--rtol must be finite and >= 0 and --step finite and > 0, "
+                            f"got {args.rtol} and {args.step}")
     rng_master = np.random.default_rng(args.seed)
     blocks = ("S", "W", "beta", "sigma2", "tau2")
     worst = {b: 0.0 for b in blocks}

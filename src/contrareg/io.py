@@ -108,11 +108,11 @@ def model_to_dict(params, center_x, center_r, alpha, meta, feature_names=None):
         "schema_version": SCHEMA_VERSION,
         "p": params.p,
         "d": params.d,
-        "S": [[float(v) for v in row] for row in np.asarray(params.S, float)],
-        "W": [[float(v) for v in row] for row in np.asarray(params.W, float)],
-        "beta": [float(v) for v in np.asarray(params.beta, float)],
-        "sigma2": float(params.sigma2),
-        "tau2": float(params.tau2),
+        "S": [[float(v) for v in row] for row in params.S],
+        "W": [[float(v) for v in row] for row in params.W],
+        "beta": [float(v) for v in params.beta],
+        "sigma2": params.sigma2,
+        "tau2": params.tau2,
         "center_x": [float(v) for v in np.asarray(center_x, float)],
         "center_r": float(center_r),
         "alpha": float(alpha),
@@ -139,11 +139,8 @@ def load_model(path):
     try:
         if doc["schema_version"] != SCHEMA_VERSION:
             raise MalformedFile(path, 1, f"unsupported schema_version {doc['schema_version']}")
-        params = ModelParams(S=np.asarray(doc["S"], float),
-                             W=np.asarray(doc["W"], float),
-                             beta=np.asarray(doc["beta"], float),
-                             sigma2=float(doc["sigma2"]),
-                             tau2=float(doc["tau2"]))
+        params = ModelParams(S=doc["S"], W=doc["W"], beta=doc["beta"],
+                             sigma2=doc["sigma2"], tau2=doc["tau2"])
         center_x = np.asarray(doc["center_x"], float)
         center_r = float(doc["center_r"])
         alpha = float(doc["alpha"])
@@ -156,5 +153,4 @@ def load_model(path):
         raise ShapeMismatch(f"S shape {params.S.shape} does not match p={p}, d={d}")
     if center_x.shape != (params.p,):
         raise ShapeMismatch("center_x length does not match p")
-    params.validate()
     return params, center_x, center_r, alpha, names, meta

@@ -40,7 +40,15 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Full parameter bundle (S, W, beta, sigma2, tau2)."""
+    """Full parameter bundle (S, W, beta, sigma2, tau2).
+
+    Construction checks that S and W are both p x d with 1 <= d <= p, that
+    beta has length d, and that every entry is finite with sigma2, tau2 >= 0;
+    it raises ShapeMismatch otherwise.  The arrays are stored as float64,
+    without a copy when they already are, so an in-place edit afterwards is
+    not re-checked.  Zero variances are a valid simulation truth; the
+    likelihood (build_workspace) needs them positive.
+    """
 
     S: np.ndarray        # p x d shared loadings
     W: np.ndarray        # p x d foreground-specific loadings
@@ -56,27 +64,37 @@ class ModelParams:
     def d(self):
         return self.S.shape[1]
 
-    def validate(self):
-        S, W, beta = np.asarray(self.S), np.asarray(self.W), np.asarray(self.beta)
+    def __post_init__(self):
+        for name in ("S", "W", "beta"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), float))
+        for name in ("sigma2", "tau2"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        S, W, beta = self.S, self.W, self.beta
         if S.ndim != 2 or W.shape != S.shape:
             raise ShapeMismatch(f"S and W must both be p x d, got {S.shape} and {W.shape}")
         p, d = S.shape
+        if not 1 <= d <= p:
+            raise ShapeMismatch(f"latent dimension d={d} must be in [1, p={p}]")
         if beta.shape != (d,):
             raise ShapeMismatch(f"beta must have length d={d}, got shape {beta.shape}")
-        if d > p:
-            raise ShapeMismatch(f"latent dimension d={d} exceeds ambient dimension p={p}")
-        if not (self.sigma2 > 0.0 and self.tau2 > 0.0):
-            raise ShapeMismatch(f"sigma2 and tau2 must be positive, got {self.sigma2}, {self.tau2}")
         for name, a in (("S", S), ("W", W), ("beta", beta)):
             if not np.all(np.isfinite(a)):
                 raise ShapeMismatch(f"{name} contains non-finite entries")
-        if not (np.isfinite(self.sigma2) and np.isfinite(self.tau2)):
-            raise ShapeMismatch("sigma2/tau2 must be finite")
+        if not (0.0 <= self.sigma2 < np.inf and 0.0 <= self.tau2 < np.inf):
+            raise ShapeMismatch(
+                f"sigma2 and tau2 must be finite and nonnegative, got {self.sigma2}, {self.tau2}")
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Foreground matrix X with responses r, plus background matrix Y."""
+    """Foreground matrix X with responses r, plus background matrix Y.
+
+    Construction checks that X (n x p) and Y (m x p) are 2-d with the same
+    column count, that r has length n, that every entry is finite and that
+    feature_names, if given, has length p; it raises ShapeMismatch
+    otherwise.  The arrays are stored as float64, without a copy when they
+    already are, so an in-place edit afterwards is not re-checked.
+    """
 
     X: np.ndarray                     # n x p
     r: np.ndarray                     # n
@@ -95,8 +113,10 @@ class Dataset:
     def p(self):
         return self.X.shape[1]
 
-    def validate(self):
-        X, r, Y = np.asarray(self.X), np.asarray(self.r), np.asarray(self.Y)
+    def __post_init__(self):
+        for name in ("X", "r", "Y"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), float))
+        X, r, Y = self.X, self.r, self.Y
         if X.ndim != 2 or Y.ndim != 2:
             raise ShapeMismatch("X and Y must be 2-d arrays")
         if X.shape[1] != Y.shape[1]:
@@ -164,9 +184,9 @@ class LatentPosterior:
 
 def _pack(params):
     return np.concatenate([
-        np.asarray(params.S, float).ravel(),
-        np.asarray(params.W, float).ravel(),
-        np.asarray(params.beta, float),
+        params.S.ravel(),
+        params.W.ravel(),
+        params.beta,
         [np.log(params.sigma2), np.log(params.tau2)],
     ])
 
@@ -215,9 +235,10 @@ def _factor(U, s2, label):
 
 def build_workspace(params: ModelParams) -> Workspace:
     """Small factors of P and Q, A and the prediction cache for a parameter value."""
-    params.validate()
-    S, W = np.asarray(params.S, float), np.asarray(params.W, float)
-    beta = np.asarray(params.beta, float)
+    # construction allows zero variances (a noiseless truth); the likelihood divides by them
+    if not (params.sigma2 > 0.0 and params.tau2 > 0.0):
+        raise ShapeMismatch(f"sigma2 and tau2 must be positive, got {params.sigma2}, {params.tau2}")
+    S, W, beta = params.S, params.W, params.beta
     d = S.shape[1]
     s2 = np.float64(params.sigma2)
     U = np.hstack([S, W])
@@ -238,12 +259,10 @@ def build_workspace(params: ModelParams) -> Workspace:
 # ---------------------------------------------------------------------------
 
 def _check_pair(params, data, alpha):
-    # params are validated by build_workspace, on every evaluation
-    data.validate()
     if data.p != params.p:
         raise ShapeMismatch(f"data has p={data.p} but params have p={params.p}")
-    if alpha < 0:
-        raise ShapeMismatch(f"alpha must be nonnegative, got {alpha}")
+    if not 0 <= alpha < np.inf:
+        raise ShapeMismatch(f"alpha must be finite and nonnegative, got {alpha}")
 
 
 def _gaussian(Z, V, Li, logdet, s2, want_grad):
@@ -281,9 +300,7 @@ def _evaluate(params, data, alpha, want_grad):
     ws = build_workspace(params)
     d = params.d
     s2 = np.float64(params.sigma2)
-    beta = np.asarray(params.beta, float)
-    X = np.asarray(data.X, float)
-    r = np.asarray(data.r, float)
+    beta, X, r = params.beta, data.X, data.r
     n = X.shape[0]
     v = ws.pred_coef                               # Q^-1 W beta = P^-1 W A beta
     s = np.float64(ws.pred_var)                    # tau2 + beta' A beta
@@ -295,8 +312,7 @@ def _evaluate(params, data, alpha, want_grad):
         E2 = e @ e
         ll += -0.5 * (n * (np.log(s) + LOG_2PI) + E2 / s)
         if use_bg:
-            ll_y, gy = _gaussian(np.asarray(data.Y, float), ws.V_P, ws.Li_P,
-                                 ws.logdet_P, s2, want_grad)
+            ll_y, gy = _gaussian(data.Y, ws.V_P, ws.Li_P, ws.logdet_P, s2, want_grad)
             ll += alpha * ll_y
         if not np.isfinite(ll):
             ll = -np.inf
@@ -360,7 +376,6 @@ def finite_diff_gradient(params: ModelParams, data: Dataset, alpha: float = 1.0,
     if step <= 0:
         raise ShapeMismatch(f"step must be positive, got {step}")
     _check_pair(params, data, alpha)
-    params.validate()          # _pack would silently accept mismatched blocks
     p, d = params.p, params.d
     theta = _pack(params)
     g = np.empty_like(theta)
@@ -419,13 +434,12 @@ def contrastive_residuals(params: ModelParams, X, allow_rank_deficient: bool = F
     With allow_rank_deficient the minimum-norm solution is used instead of
     raising on degenerate shared loadings.
     """
-    S = np.asarray(params.S, float)
+    S = params.S
     X = np.asarray(X, float)
     if X.ndim != 2 or X.shape[1] != S.shape[0]:
         raise ShapeMismatch(f"X must have p={S.shape[0]} columns, got shape {X.shape}")
-    svals = np.linalg.svd(S, compute_uv=False)
-    smax2 = svals[0] ** 2 if svals.size else 0.0
-    if svals.size == 0 or svals[-1] ** 2 <= 1e-12 * smax2:
+    svals = np.linalg.svd(S, compute_uv=False)      # d >= 1 values
+    if svals[-1] ** 2 <= 1e-12 * svals[0] ** 2:
         if not allow_rank_deficient:
             raise RankDeficiencyError(
                 f"S'S is singular beyond tolerance (singular values {svals})")

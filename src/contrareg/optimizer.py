@@ -62,16 +62,20 @@ class FitConfig:
     def validate(self):
         if self.d < 1:
             raise ShapeMismatch(f"d must be >= 1, got {self.d}")
-        if self.tol <= 0:
-            raise ShapeMismatch(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < np.inf:
+            raise ShapeMismatch(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ShapeMismatch(f"max_iter must be >= 1, got {self.max_iter}")
         if self.mode not in MODES:
             raise ShapeMismatch(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.init not in INITS:
             raise ShapeMismatch(f"init must be one of {INITS}, got {self.init!r}")
-        if self.step0 <= 0 or self.restarts < 0 or self.alpha < 0:
-            raise ShapeMismatch("step0 must be > 0, restarts >= 0, alpha >= 0")
+        if not 0 < self.step0 < np.inf:
+            raise ShapeMismatch(f"step0 must be positive and finite, got {self.step0}")
+        if not 0 <= self.alpha < np.inf:
+            raise ShapeMismatch(f"alpha must be finite and nonnegative, got {self.alpha}")
+        if self.restarts < 0:
+            raise ShapeMismatch(f"restarts must be >= 0, got {self.restarts}")
         if not 0 <= self.seed < 2**64:
             raise ShapeMismatch(f"seed must be in [0, 2**64), got {self.seed}")
 
@@ -107,19 +111,16 @@ class FitResult:
 def initialize(data: Dataset, config: FitConfig) -> ModelParams:
     """Seeded starting point; data are assumed already centered by fit()."""
     config.validate()
-    data.validate()
     if data.n == 0:
         raise DegenerateData("cannot initialize with zero foreground samples")
-    if config.d > data.p:
-        raise ShapeMismatch(f"d={config.d} exceeds feature dimension p={data.p}")
 
     use_bg = data.m > 0 and config.alpha > 0
-    pooled = np.vstack([data.X, data.Y]) if use_bg else np.asarray(data.X, float)
+    pooled = np.vstack([data.X, data.Y]) if use_bg else data.X
     pooled = pooled - pooled.mean(axis=0)
     data_var = float(np.mean(pooled ** 2))
     if data_var <= 0.0:
         raise DegenerateData("all-constant columns: pooled data variance is zero")
-    r_var = float(np.var(np.asarray(data.r, float)))
+    r_var = float(np.var(data.r))
     sigma2 = max(0.5 * data_var, _VAR_FLOOR)
     tau2 = max(0.5 * r_var, _VAR_FLOOR)
 
@@ -133,7 +134,7 @@ def initialize(data: Dataset, config: FitConfig) -> ModelParams:
 
     # pca_warm_start: S from the pooled rows, W from the foreground's residual off span(S)
     S, span = _ppca_loadings(pooled, d)
-    Xc = np.asarray(data.X, float) - np.asarray(data.X, float).mean(axis=0)
+    Xc = data.X - data.X.mean(axis=0)
     W, _ = _ppca_loadings(Xc - (Xc @ span) @ span.T, d)
     return ModelParams(S=S, W=W, beta=np.zeros(d), sigma2=sigma2, tau2=tau2)
 
@@ -263,13 +264,10 @@ def fit(data: Dataset, config: FitConfig) -> FitResult:
     """
     t0 = time.perf_counter()
     config.validate()
-    data.validate()
     if data.n == 0:
         raise DegenerateData("cannot fit with zero foreground samples")
 
-    X = np.asarray(data.X, float)
-    Y = np.asarray(data.Y, float)
-    r = np.asarray(data.r, float)
+    X, Y, r = data.X, data.Y, data.r
     # with alpha=0 the background must not influence the fit, centering included
     pooled = np.vstack([X, Y]) if (data.m > 0 and config.alpha > 0) else X
     center_x = pooled.mean(axis=0)

@@ -37,7 +37,6 @@ def cross_validate(data: Dataset, d_grid, k: int, config: FitConfig) -> CVReport
     from the selection means.  best_d maximizes mean test R^2; ties go to
     the smaller d.
     """
-    data.validate()
     d_grid = sorted(_integral(d) for d in d_grid)
     if not d_grid:
         raise ShapeMismatch("d_grid is empty")
@@ -56,7 +55,7 @@ def cross_validate(data: Dataset, d_grid, k: int, config: FitConfig) -> CVReport
     train_r2 = np.full((len(d_grid), k), np.nan)
     test_r2 = np.full((len(d_grid), k), np.nan)
 
-    X, r = np.asarray(data.X, float), np.asarray(data.r, float)
+    X, r = data.X, data.r
     for di, d in enumerate(d_grid):
         for fi, test_idx in enumerate(folds):
             train_idx = np.setdiff1d(np.arange(data.n), test_idx)
@@ -97,16 +96,14 @@ def _integral(d):
 
 def pca_linear_baseline(train: Dataset, test_X, d: int):
     """Top-d PCA of the foreground training matrix + OLS of r on the scores."""
-    train.validate()
     test_X = np.asarray(test_X, float)
     if d < 1 or d > train.p:
         raise ShapeMismatch(f"need 1 <= d <= p, got d={d}, p={train.p}")
     if test_X.ndim != 2 or test_X.shape[1] != train.p:
         raise ShapeMismatch(f"test_X must have p={train.p} columns, got {test_X.shape}")
 
-    X = np.asarray(train.X, float)
-    mean = X.mean(axis=0)
-    Xc = X - mean
+    mean = train.X.mean(axis=0)
+    Xc = train.X - mean
     _, svals, Vt = np.linalg.svd(Xc, full_matrices=False)
     tol = max(Xc.shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)
     if np.sum(svals > tol) < d:
@@ -115,7 +112,7 @@ def pca_linear_baseline(train: Dataset, test_X, d: int):
     comps = Vt[:d].T
     scores = Xc @ comps
     design = np.column_stack([np.ones(train.n), scores])
-    coef, *_ = np.linalg.lstsq(design, np.asarray(train.r, float), rcond=None)
+    coef, *_ = np.linalg.lstsq(design, train.r, rcond=None)
     test_scores = (test_X - mean) @ comps
     return np.column_stack([np.ones(test_X.shape[0]), test_scores]) @ coef
 
@@ -129,8 +126,7 @@ def rank_features(params: ModelParams, names=None,
     the ranking invariant to the rotational nonidentifiability of (W, beta).
     Without it, the raw column of W at argmax |beta_k| is used.
     """
-    W = np.asarray(params.W, float)
-    beta = np.asarray(params.beta, float)
+    W, beta = params.W, params.beta
     bnorm = float(np.linalg.norm(beta))
     if bnorm < 1e-12:
         raise ZeroBeta("||beta|| < 1e-12: no response-linked component to rank")

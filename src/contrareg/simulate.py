@@ -71,9 +71,7 @@ def generate(config: GenConfig):
     config.validate()
     rng = np.random.default_rng(config.seed)
     truth = config.truth if config.truth is not None else default_truth(config.p, config.d, rng)
-    S = np.asarray(truth.S, float)
-    W = np.asarray(truth.W, float)
-    beta = np.asarray(truth.beta, float)
+    S, W, beta = truth.S, truth.W, truth.beta
     if S.shape != (config.p, config.d):
         raise ShapeMismatch(f"truth has shape {S.shape}, expected {(config.p, config.d)}")
     sig = np.sqrt(truth.sigma2)
@@ -95,14 +93,10 @@ def generate(config: GenConfig):
 
 def estimation_errors(estimate: ModelParams, truth: ModelParams) -> ErrorReport:
     """Estimation error metrics, rotation-invariant for S and W."""
-    eS, eW = np.asarray(estimate.S, float), np.asarray(estimate.W, float)
-    tS, tW = np.asarray(truth.S, float), np.asarray(truth.W, float)
-    if eS.shape != tS.shape or eW.shape != tW.shape:
+    eS, eW, eb = estimate.S, estimate.W, estimate.beta
+    tS, tW, tb = truth.S, truth.W, truth.beta
+    if eS.shape != tS.shape:
         raise ShapeMismatch(f"shape mismatch: {eS.shape} vs {tS.shape}")
-    eb = np.asarray(estimate.beta, float)
-    tb = np.asarray(truth.beta, float)
-    if eb.shape != tb.shape:
-        raise ShapeMismatch(f"beta shapes differ: {eb.shape} vs {tb.shape}")
 
     def subspace_err(Uh, U):
         num = np.linalg.norm(Uh @ Uh.T - U @ U.T, "fro")

@@ -99,6 +99,15 @@ class TestFitCommand:
         assert run_cli(*fit_flags(fg, bg2, tmp_path / "m.json")) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag, value", [("alpha", "nan"), ("alpha", "inf"),
+                                             ("tol", "inf")])
+    def test_non_finite_setting_exit_3(self, dataset_files, tmp_path, capsys, flag, value):
+        fg, bg, _, _ = dataset_files
+        out = tmp_path / "m.json"
+        assert run_cli(*fit_flags(fg, bg, out, **{flag: value})) == 3
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_degenerate_data_exit_4(self, tmp_path, capsys):
         fg = tmp_path / "fg.csv"
         bg = tmp_path / "bg.csv"
@@ -253,6 +262,13 @@ class TestSimulateCommand:
         assert np.array_equal(X, data.X)
         assert np.array_equal(r, data.r)
 
+    def test_response_col_clashing_with_a_feature_exit_3(self, tmp_path, capsys):
+        # the header f0,f1,f2,f0 would be unreadable by fit
+        assert run_cli("simulate", "--n", "5", "--m", "5", "--p", "3", "--d", "1",
+                       "--response-col", "f0", "--out-prefix", str(tmp_path / "s")) == 3
+        assert "--response-col" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_invalid_sizes_exit_2(self, tmp_path, capsys):
         code = run_cli("simulate", "--n", "5", "--m", "5",
                        "--out-prefix", str(tmp_path / "s"))
@@ -275,6 +291,12 @@ class TestGradcheckCommand:
         assert run_cli("gradcheck", "--rtol", "0") == 5
         out = capsys.readouterr().out
         assert "offending instance seed" in out
+
+    @pytest.mark.parametrize("flags", [["--d", "0"], ["--rtol", "nan"], ["--rtol", "inf"],
+                                       ["--rtol", "-1"], ["--step", "nan"], ["--step", "inf"]])
+    def test_invalid_flags_exit_3(self, capsys, flags):
+        assert run_cli("gradcheck", "--trials", "3", *flags) == 3
+        assert "error:" in capsys.readouterr().err
 
     def test_zero_foreground_blocks_exact_zero(self, capsys):
         # n=0 everywhere: W, beta, tau2 gradients vanish identically

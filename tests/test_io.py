@@ -173,3 +173,11 @@ class TestModelFiles:
         save_model(path, doc)
         with pytest.raises(ShapeMismatch):
             load_model(path)
+
+    def test_zero_latent_dimension(self, tmp_path, rng):
+        doc = model_to_dict(random_params(rng, 3, 1), np.zeros(3), 0.0, 1.0, {})
+        doc.update(d=0, S=[[], [], []], W=[[], [], []], beta=[])
+        path = tmp_path / "m.json"
+        save_model(path, doc)
+        with pytest.raises(ShapeMismatch):
+            load_model(path)

@@ -22,6 +22,42 @@ REGIMES = [(3, 3, 60, 2), (4, 4, 3, 2), (0, 5, 6, 2), (5, 0, 6, 2)]
 
 
 # ---------------------------------------------------------------------------
+# Domain types
+# ---------------------------------------------------------------------------
+
+class TestConstruction:
+    @pytest.mark.parametrize("field, value", [
+        ("X", np.array([[0.0, np.nan]] * 3)),
+        ("r", np.array([0.0, np.inf, 0.0])),
+        ("Y", np.full((4, 2), -np.inf)),
+        ("X", np.zeros(3)),
+        ("Y", np.zeros((4, 3))),
+        ("r", np.zeros(2)),
+        ("feature_names", ["a"]),
+    ], ids=["nan-X", "inf-r", "inf-Y", "1d-X", "columns-differ", "r-length", "names-length"])
+    def test_invalid_dataset_rejected(self, field, value):
+        fields = dict(X=np.zeros((3, 2)), r=np.zeros(3), Y=np.zeros((4, 2)),
+                      feature_names=["a", "b"])
+        Dataset(**fields)
+        with pytest.raises(ShapeMismatch):
+            Dataset(**{**fields, field: value})
+
+    def test_arrays_stored_as_float64_without_copy(self):
+        data = Dataset(X=np.ones((3, 2), int), r=[1, 2, 3], Y=np.zeros((4, 2), int))
+        assert data.X.dtype == data.r.dtype == data.Y.dtype == np.float64
+        X, S = np.ones((3, 2)), np.ones((2, 1))
+        assert Dataset(X=X, r=np.zeros(3), Y=np.zeros((0, 2))).X is X
+        assert ModelParams(S=S, W=S, beta=np.ones(1), sigma2=1.0, tau2=1.0).S is S
+
+    def test_zero_variances_construct_but_have_no_likelihood(self):
+        # a noiseless simulation truth is valid; the likelihood divides by sigma2 and tau2
+        params = ModelParams(S=np.ones((2, 1)), W=np.zeros((2, 1)), beta=np.zeros(1),
+                             sigma2=0.0, tau2=0.0)
+        with pytest.raises(ShapeMismatch):
+            build_workspace(params)
+
+
+# ---------------------------------------------------------------------------
 # build_workspace
 # ---------------------------------------------------------------------------
 
@@ -88,6 +124,9 @@ class TestBuildWorkspace:
         with pytest.raises(ShapeMismatch):
             build_workspace(ModelParams(S=np.zeros((2, 1)), W=np.zeros((2, 1)),
                                         beta=np.zeros(1), sigma2=0.0, tau2=1.0))
+        with pytest.raises(ShapeMismatch):             # d = 0: no latent factor
+            build_workspace(ModelParams(S=np.zeros((2, 0)), W=np.zeros((2, 0)),
+                                        beta=np.zeros(0), sigma2=1.0, tau2=1.0))
 
     def test_overflowing_params_raise_factorization_error(self):
         # S S' overflows to inf, so P cannot factorize
@@ -159,6 +198,8 @@ class TestLogLikelihood:
             log_likelihood(params, data)
         with pytest.raises(ShapeMismatch):
             log_likelihood(params, random_dataset(rng, 3, 3, 4), alpha=-1.0)
+        with pytest.raises(ShapeMismatch):
+            log_likelihood(params, random_dataset(rng, 3, 3, 4), alpha=float("nan"))
 
 
 # ---------------------------------------------------------------------------

@@ -228,3 +228,7 @@ class TestFit:
             fit(data, FitConfig(d=1, tol=0.0))
         with pytest.raises(ShapeMismatch):
             fit(data, FitConfig(d=1, mode="newton"))
+        for name in ("alpha", "tol", "step0"):
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(ShapeMismatch):
+                    fit(data, FitConfig(d=1, **{name: value}))

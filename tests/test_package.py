@@ -1,10 +1,12 @@
 """Package surface: public exports and the names the benchmark imports."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 
 import contrareg
+from contrareg import FitConfig, GenConfig, generate, select
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -32,3 +34,19 @@ def test_import_loads_no_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "[]"
+
+
+def test_benchmark_hook_sites_resolve():
+    # the benchmark's tracer wraps library functions where their callers look them up
+    # (module globals); a span none of whose sites exists reads "not measured"
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", os.path.join(ROOT, "bench", "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    data, _ = generate(GenConfig(n=12, m=6, p=3, d=1, seed=0))
+    with tracing.Tracer(tracing.HOOKS) as tracer:
+        assert tracer.unmeasured == set()
+        select.cross_validate(data, [1], 2, FitConfig(d=1, restarts=0, max_iter=3))
+    names = {span.name for span in tracer.spans}
+    assert {"select.cross_validate", "optimizer.fit", "optimizer.initialize",
+            "model.evaluate", "model.build_workspace"} <= names

@@ -70,7 +70,9 @@ class TestCrossValidate:
         assert report.d_grid == [1] and type(report.d_grid[0]) is int
 
     @pytest.mark.parametrize("bad", [dict(tol=0.0), dict(mode="newton"),
-                                     dict(max_iter=0), dict(seed=-1)])
+                                     dict(max_iter=0), dict(seed=-1),
+                                     dict(alpha=float("nan")), dict(alpha=float("inf")),
+                                     dict(tol=float("inf")), dict(step0=float("nan"))])
     def test_invalid_config_raises_instead_of_nan_report(self, bad):
         # every cell would fail alike, which reads as an all-NaN report
         data, _ = generate(GenConfig(n=10, m=5, p=3, d=1, seed=0))
