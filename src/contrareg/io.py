@@ -128,7 +128,11 @@ def save_model(path, doc):
 
 
 def load_model(path):
-    """Load a model file; returns (params, center_x, center_r, alpha, names, meta)."""
+    """Load a model file; returns (params, center_x, center_r, alpha, names, meta).
+
+    A non-finite center_x or center_r, or an alpha that is negative or not
+    finite, is a MalformedFile.
+    """
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -149,6 +153,10 @@ def load_model(path):
         p, d = doc["p"], doc["d"]
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedFile(path, 1, f"invalid model document: {exc}") from exc
+    if not (np.all(np.isfinite(center_x)) and np.isfinite(center_r)):
+        raise MalformedFile(path, 1, "center_x and center_r must be finite")
+    if not 0.0 <= alpha < np.inf:
+        raise MalformedFile(path, 1, f"alpha must be finite and nonnegative, got {alpha}")
     if params.S.shape != (p, d):
         raise ShapeMismatch(f"S shape {params.S.shape} does not match p={p}, d={d}")
     if center_x.shape != (params.p,):

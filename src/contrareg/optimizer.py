@@ -143,13 +143,24 @@ def _ppca_loadings(Z, d):
     """PPCA loadings of the centered rows Z as sigma2 -> 0 (Tipping & Bishop 1999).
 
     The top-d right singular vectors times singular value / sqrt(rows),
-    zero-padded to d columns, and those singular vectors.
+    zero-padded to d columns, and those singular vectors.  They come from
+    the top eigenvectors of the smaller Gram matrix, without an SVD of Z:
+    directly from Z'Z, or as Z'u / |Z'u| from those u of Z Z'.
     """
-    _, svals, Vt = np.linalg.svd(Z, full_matrices=False)
-    k = min(d, svals.size)
-    loadings = np.zeros((Z.shape[1], d))
-    loadings[:, :k] = Vt[:k].T * (svals[:k] / np.sqrt(max(Z.shape[0], 1)))
-    return loadings, Vt[:k].T
+    rows, p = Z.shape
+    k = min(d, rows, p)
+    if rows <= p:
+        _, vecs = np.linalg.eigh(Z @ Z.T)
+        span = Z.T @ vecs[:, ::-1][:, :k]
+        svals = np.linalg.norm(span, axis=0)
+        span /= np.where(svals > 0.0, svals, 1.0)
+    else:
+        evals, vecs = np.linalg.eigh(Z.T @ Z)
+        span = vecs[:, ::-1][:, :k]
+        svals = np.sqrt(np.maximum(evals[::-1][:k], 0.0))
+    loadings = np.zeros((p, d))
+    loadings[:, :k] = span * (svals / np.sqrt(max(rows, 1)))
+    return loadings, span
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,27 @@ class TestPredictCommand:
         assert float(rows[0]["mean"]) == pytest.approx(center_r, abs=1e-12)
         assert rows[0]["mean"] == rows[1]["mean"]   # identical rows, identical output
 
+    @pytest.mark.parametrize("field, value", [("center_x", float("nan")),
+                                              ("center_r", float("inf")),
+                                              ("alpha", -1.0), ("alpha", float("nan"))])
+    def test_tampered_model_exit_2(self, model_file, dataset_files, tmp_path, capsys,
+                                   field, value):
+        # JSON allows NaN and Infinity; a model file carrying them predicts nan for every row
+        doc = json.loads(model_file.read_text())
+        if field == "center_x":
+            doc["center_x"][0] = value
+        else:
+            doc[field] = value
+        model_file.write_text(json.dumps(doc))
+        fg, bg, data, names = dataset_files
+        inp = tmp_path / "in.csv"
+        write_table(inp, data.X[:3], names)
+        out = tmp_path / "pred.csv"
+        assert run_cli("predict", "--model", str(model_file),
+                       "--input", str(inp), "--out", str(out)) == 2
+        capsys.readouterr()
+        assert not out.exists()
+
     def test_dimension_mismatch_exit_3(self, model_file, tmp_path, capsys):
         inp = tmp_path / "in.csv"
         inp.write_text("a,b\n1,2\n")

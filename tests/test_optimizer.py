@@ -38,6 +38,24 @@ class TestInitialize:
         sin_theta = np.linalg.norm(Qs - basis @ (basis.T @ Qs), 2)
         assert sin_theta <= 1e-8
 
+    def test_ppca_loadings_match_thin_svd(self, rng):
+        # rows < p takes the Z Z' branch, rows > p the Z'Z branch
+        for rows, p in ((30, 50), (50, 30)):
+            Z = rng.standard_normal((rows, p)) * np.linspace(3.0, 0.5, p)
+            Z -= Z.mean(axis=0)
+            loadings, span = optimizer._ppca_loadings(Z, 3)
+            _, svals, Vt = np.linalg.svd(Z, full_matrices=False)
+            ref = svals[:3] / np.sqrt(rows)
+            np.testing.assert_allclose(np.linalg.norm(loadings, axis=0), ref, rtol=1e-10)
+            V0 = Vt[:3].T
+            assert np.linalg.norm(span @ span.T - V0 @ V0.T) <= 1e-8
+            assert np.allclose(loadings, span * ref)
+        # min(rows, p) < d: the columns past min(rows, p) are zero
+        for shape in ((2, 5), (5, 2)):
+            loadings, span = optimizer._ppca_loadings(rng.standard_normal(shape), 3)
+            assert loadings.shape == (shape[1], 3) and span.shape == (shape[1], 2)
+            assert np.all(loadings[:, 2] == 0.0) and np.all(loadings[:, :2] != 0.0)
+
     def test_zero_response_floors_tau2(self, rng):
         data = Dataset(X=rng.standard_normal((10, 3)), r=np.zeros(10),
                        Y=rng.standard_normal((5, 3)))

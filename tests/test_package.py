@@ -26,8 +26,10 @@ def test_benchmark_selftest_passes():
 
 def test_import_loads_no_scipy():
     # scipy is imported only by the functions that use it; start-up of every CLI process
-    # pays for what the package imports
+    # pays for what the package imports, and a pca_warm_start initialization uses numpy only
     code = ("import sys, contrareg, contrareg.cli; "
+            "data, _ = contrareg.generate(contrareg.GenConfig(n=12, m=6, p=3, d=1, seed=0)); "
+            "contrareg.initialize(data, contrareg.FitConfig(d=1, init='pca_warm_start')); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
