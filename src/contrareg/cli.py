@@ -9,6 +9,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -31,27 +32,35 @@ EXIT_GRADCHECK = 5
 _MODE_NAMES = {"line-search": "line_search_ascent", "adam": "adaptive_moment"}
 
 
+def _given(args, cls):
+    """Flags given that name fields of cls; the others are absent, so cls's defaults hold."""
+    return {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+
+
 def _add_fit_flags(sub):
-    sub.add_argument("--alpha", type=float, default=1.0)
-    sub.add_argument("--tol", type=float, default=1e-4,
+    sub.add_argument("--alpha", type=float, default=argparse.SUPPRESS)
+    sub.add_argument("--tol", type=float, default=argparse.SUPPRESS,
                      help="line search: stop at |g|_inf <= tol * max(1, |ll|) / n; "
                           "adam: stop after 3 relative changes of ll below tol")
-    sub.add_argument("--max-iter", type=int, default=5000)
-    sub.add_argument("--mode", choices=sorted(_MODE_NAMES), default="line-search")
-    sub.add_argument("--restarts", type=int, default=3,
-                     help="extra seeded starts; pca-warm-start is deterministic and runs once")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--step0", type=float, default=1e-2,
+    sub.add_argument("--max-iter", type=int, default=argparse.SUPPRESS)
+    sub.add_argument("--mode", choices=sorted(_MODE_NAMES), default=argparse.SUPPRESS)
+    sub.add_argument("--restarts", type=int, default=argparse.SUPPRESS,
+                     help=f"extra seeded random starts (default {FitConfig.restarts}); "
+                          "pca-warm-start is deterministic and runs once")
+    sub.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    sub.add_argument("--step0", type=float, default=argparse.SUPPRESS,
                      help="learning rate of --mode adam; the line search does not read it")
     sub.add_argument("--init", choices=["random-normal", "pca-warm-start"],
-                     default="random-normal")
+                     default=argparse.SUPPRESS)
 
 
 def _fit_config(args, d):
-    return FitConfig(d=d, alpha=args.alpha, tol=args.tol, max_iter=args.max_iter,
-                     mode=_MODE_NAMES[args.mode], step0=args.step0,
-                     restarts=args.restarts, seed=args.seed,
-                     init=args.init.replace("-", "_"))
+    given = _given(args, FitConfig) | {"d": d}
+    if "mode" in given:
+        given["mode"] = _MODE_NAMES[given["mode"]]
+    if "init" in given:
+        given["init"] = given["init"].replace("-", "_")
+    return FitConfig(**given)
 
 
 def _load_dataset(args):
@@ -122,18 +131,13 @@ def cmd_cv(args):
 
 def cmd_simulate(args):
     if args.lines:
-        config = LinesConfig(image_side=args.image_side, n_fg=args.n, n_bg=args.m,
-                             background_rank=args.background_rank,
-                             noise_sd=args.noise_sd,
-                             line_column=(args.line_column if args.line_column >= 0
-                                          else args.image_side // 2),
-                             seed=args.seed)
+        config = LinesConfig(n_fg=args.n, n_bg=args.m, **_given(args, LinesConfig))
         data = generate_lines(config)
         truth = None
     else:
         if args.p < 1 or args.d < 1:
             raise ShapeMismatch("--p and --d are required for model simulation")
-        config = GenConfig(n=args.n, m=args.m, p=args.p, d=args.d, seed=args.seed)
+        config = GenConfig(**_given(args, GenConfig))
         data, truth = generate(config)
     names = data.feature_names or [f"f{i}" for i in range(data.p)]
     if args.response_col in names:
@@ -142,7 +146,7 @@ def cmd_simulate(args):
                    responses=data.r, response_col=args.response_col)
     io.write_table(args.out_prefix + "_background.csv", data.Y, names)
     if truth is not None:
-        meta = {"seed": args.seed, "iterations": 0, "final_ll": None, "converged": True}
+        meta = {"seed": config.seed, "iterations": 0, "final_ll": None, "converged": True}
         doc = io.model_to_dict(truth, np.zeros(data.p), 0.0, 1.0, meta,
                                feature_names=names)
         io.save_model(args.out_prefix + "_truth.json", doc)
@@ -244,15 +248,15 @@ def build_parser():
     p_sim.add_argument("--m", type=int, required=True)
     p_sim.add_argument("--p", type=int, default=0)
     p_sim.add_argument("--d", type=int, default=0)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p_sim.add_argument("--out-prefix", required=True)
     p_sim.add_argument("--response-col", default="response")
     p_sim.add_argument("--lines", action="store_true",
                        help="corrupted-lines image analog instead of the model")
-    p_sim.add_argument("--image-side", type=int, default=28)
-    p_sim.add_argument("--background-rank", type=int, default=4)
-    p_sim.add_argument("--noise-sd", type=float, default=0.1)
-    p_sim.add_argument("--line-column", type=int, default=-1)
+    p_sim.add_argument("--image-side", type=int, default=argparse.SUPPRESS)
+    p_sim.add_argument("--background-rank", type=int, default=argparse.SUPPRESS)
+    p_sim.add_argument("--noise-sd", type=float, default=argparse.SUPPRESS)
+    p_sim.add_argument("--line-column", type=int, default=argparse.SUPPRESS)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_gc = subs.add_parser("gradcheck", help="analytic vs finite-difference gradients")
@@ -266,7 +270,11 @@ def build_parser():
     p_gc.add_argument("--rtol", type=float, default=1e-4)
     p_gc.set_defaults(func=cmd_gradcheck)
 
-    p_rank = subs.add_parser("rank", help="feature ranking from a saved model")
+    p_rank = subs.add_parser(
+        "rank", help="feature ranking from a saved model",
+        description="Rank features by |score|.  The canonical score, W beta / ||beta||, is "
+                    "the model's estimate of Cov(x_j, r), up to one common factor; "
+                    "--no-canonical-rotation scores by the column of W at argmax |beta_k|.")
     p_rank.add_argument("--model", required=True)
     p_rank.add_argument("--out", required=True)
     p_rank.add_argument("--no-canonical-rotation", action="store_true")

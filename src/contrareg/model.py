@@ -45,6 +45,22 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 # Domain types
 # ---------------------------------------------------------------------------
 
+def _integral(value, name):
+    """value as an int; ShapeMismatch unless its value is an integer."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ShapeMismatch(f"{name} must be an integer, got {value!r}")
+
+
+def _integral_fields(config, names):
+    """Store each named field of a frozen config as an int, via _integral."""
+    for name in names:
+        object.__setattr__(config, name, _integral(getattr(config, name), name))
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Full parameter bundle (S, W, beta, sigma2, tau2).

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import (DegenerateData, FactorizationError, NonFiniteObjective,
                      ShapeMismatch)
 from .model import (Dataset, ModelParams, predict_rows, _evaluate, _grad_vector,
-                    _pack, _unpack)
+                    _integral_fields, _pack, _unpack)
 
 MODES = ("line_search_ascent", "adaptive_moment")
 INITS = ("random_normal", "pca_warm_start")
@@ -39,9 +39,9 @@ _STALL = 1e-15          # relative change of the objective at rounding level
 _PATIENCE = 3           # adaptive_moment: consecutive small relative changes before stopping
 
 
-@dataclass
+@dataclass(frozen=True)
 class FitConfig:
-    """Fit settings.
+    """Fit settings, checked once, at construction (ShapeMismatch if invalid).
 
     tol is the stopping tolerance: line_search_ascent stops once
     |g|_inf <= tol * max(1, |ll|) / n, adaptive_moment after _PATIENCE
@@ -55,11 +55,12 @@ class FitConfig:
     max_iter: int = 5000
     mode: str = "line_search_ascent"
     step0: float = 1e-2
-    restarts: int = 3
+    restarts: int = 0
     seed: int = 0
     init: str = "random_normal"
 
-    def validate(self):
+    def __post_init__(self):
+        _integral_fields(self, ("d", "max_iter", "restarts", "seed"))
         if self.d < 1:
             raise ShapeMismatch(f"d must be >= 1, got {self.d}")
         if not 0 < self.tol < np.inf:
@@ -110,7 +111,6 @@ class FitResult:
 
 def initialize(data: Dataset, config: FitConfig) -> ModelParams:
     """Seeded starting point; data are assumed already centered by fit()."""
-    config.validate()
     if data.n == 0:
         raise DegenerateData("cannot initialize with zero foreground samples")
 
@@ -274,7 +274,6 @@ def fit(data: Dataset, config: FitConfig) -> FitResult:
     start whatever config.restarts says, so it runs a single solve.
     """
     t0 = time.perf_counter()
-    config.validate()
     if data.n == 0:
         raise DegenerateData("cannot fit with zero foreground samples")
 

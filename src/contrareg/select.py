@@ -7,7 +7,7 @@ import numpy as np
 from .errors import (ConstantTruth, DegenerateData, FactorizationError,
                      NonFiniteObjective, RankDeficiencyError, ShapeMismatch,
                      TooFewSamples, ZeroBeta)
-from .model import Dataset, ModelParams
+from .model import Dataset, ModelParams, _integral
 from .optimizer import FitConfig, fit
 from .simulate import r_squared
 
@@ -37,9 +37,10 @@ def cross_validate(data: Dataset, d_grid, k: int, config: FitConfig) -> CVReport
     from the selection means.  best_d maximizes mean test R^2; ties go to
     the smaller d.
     """
-    d_grid = sorted(_integral(d) for d in d_grid)
+    d_grid = sorted(_integral(d, "d_grid entry") for d in d_grid)
     if not d_grid:
         raise ShapeMismatch("d_grid is empty")
+    k = _integral(k, "k")
     if k < 2:
         raise TooFewSamples(f"k must be >= 2, got {k}")
     if data.n < k:
@@ -47,8 +48,6 @@ def cross_validate(data: Dataset, d_grid, k: int, config: FitConfig) -> CVReport
     for d in d_grid:
         if not 1 <= d <= data.p:
             raise ShapeMismatch(f"need 1 <= d <= p={data.p} for every grid entry, got d={d}")
-    # an invalid config fails every cell alike: raise it instead of a NaN report
-    replace(config, d=d_grid[0]).validate()
 
     rng = np.random.default_rng(config.seed)
     folds = np.array_split(rng.permutation(data.n), k)
@@ -84,16 +83,6 @@ def cross_validate(data: Dataset, d_grid, k: int, config: FitConfig) -> CVReport
     return CVReport(d_grid=d_grid, k=k, train_r2=train_r2, test_r2=test_r2, best_d=best_d)
 
 
-def _integral(d):
-    """A grid entry as an int; ShapeMismatch unless its value is an integer."""
-    try:
-        if int(d) == d:
-            return int(d)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ShapeMismatch(f"d_grid entries must be integers, got {d!r}")
-
-
 def pca_linear_baseline(train: Dataset, test_X, d: int):
     """Top-d PCA of the foreground training matrix + OLS of r on the scores."""
     test_X = np.asarray(test_X, float)
@@ -124,7 +113,10 @@ def rank_features(params: ModelParams, names=None,
     With the canonical rotation the latent basis is rotated so beta aligns
     with the first axis, making the selected column W beta / ||beta|| and
     the ranking invariant to the rotational nonidentifiability of (W, beta).
-    Without it, the raw column of W at argmax |beta_k| is used.
+    Under the model Cov(x, r) = W beta, so the canonical score is the model's
+    estimate of Cov(x_j, r) for each feature j, up to one common factor
+    (1 / ||beta||).  Without the rotation, the raw column of W at
+    argmax |beta_k| is used.
     """
     W, beta = params.W, params.beta
     bnorm = float(np.linalg.norm(beta))

@@ -10,10 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstantTruth, ShapeMismatch
-from .model import Dataset, ModelParams
+from .model import Dataset, ModelParams, _integral, _integral_fields
 
 
-@dataclass
+@dataclass(frozen=True)
 class GenConfig:
     n: int
     m: int
@@ -22,11 +22,14 @@ class GenConfig:
     seed: int = 0
     truth: ModelParams = None
 
-    def validate(self):
+    def __post_init__(self):
+        _integral_fields(self, ("n", "m", "p", "d", "seed"))
         if self.p < 1 or self.d < 1 or self.d > self.p:
             raise ShapeMismatch(f"need 1 <= d <= p, got d={self.d}, p={self.p}")
         if self.n < 0 or self.m < 0 or self.seed < 0:
             raise ShapeMismatch("n, m and seed must be nonnegative")
+        if self.truth is not None and self.truth.S.shape != (self.p, self.d):
+            raise ShapeMismatch(f"truth has shape {self.truth.S.shape}, expected {(self.p, self.d)}")
 
 
 @dataclass
@@ -38,21 +41,25 @@ class ErrorReport:
     W_err: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinesConfig:
     image_side: int = 28
     n_fg: int = 300
     n_bg: int = 300
     background_rank: int = 4
     noise_sd: float = 0.1
-    line_column: int = 14
+    line_column: int = None      # None: the middle column, image_side // 2
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
+        _integral_fields(self, ("image_side", "n_fg", "n_bg", "background_rank", "seed"))
+        column = self.image_side // 2 if self.line_column is None else self.line_column
+        object.__setattr__(self, "line_column", _integral(column, "line_column"))
         if self.image_side < 1 or self.n_fg < 1 or self.n_bg < 1:
             raise ShapeMismatch("image_side, n_fg, n_bg must be positive")
-        if self.background_rank < 0 or self.noise_sd < 0 or self.seed < 0:
-            raise ShapeMismatch("background_rank, noise_sd and seed must be nonnegative")
+        if self.background_rank < 0 or not 0 <= self.noise_sd < np.inf or self.seed < 0:
+            raise ShapeMismatch("background_rank, noise_sd and seed must be nonnegative, "
+                                f"noise_sd finite; got noise_sd={self.noise_sd}")
         if not 0 <= self.line_column < self.image_side:
             raise ShapeMismatch(
                 f"line_column must be in [0, {self.image_side}), got {self.line_column}")
@@ -68,12 +75,9 @@ def default_truth(p, d, rng):
 
 def generate(config: GenConfig):
     """Draw (Dataset, truth ModelParams) from the generative model."""
-    config.validate()
     rng = np.random.default_rng(config.seed)
     truth = config.truth if config.truth is not None else default_truth(config.p, config.d, rng)
     S, W, beta = truth.S, truth.W, truth.beta
-    if S.shape != (config.p, config.d):
-        raise ShapeMismatch(f"truth has shape {S.shape}, expected {(config.p, config.d)}")
     sig = np.sqrt(truth.sigma2)
     tau = np.sqrt(truth.tau2)
 
@@ -138,7 +142,6 @@ def _smooth_patterns(rank, side, rng):
 
 def generate_lines(config: LinesConfig) -> Dataset:
     """Corrupted-lines analog: shared textures, foreground vertical line of height r."""
-    config.validate()
     rng = np.random.default_rng(config.seed)
     side = config.image_side
     p = side * side

@@ -8,8 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from contrareg import (Dataset, FitConfig, GenConfig, build_workspace,
-                       cross_validate, fit, generate, rank_features)
+from contrareg import (Dataset, DegenerateData, FitConfig, GenConfig, LinesConfig,
+                       build_workspace, cross_validate, fit, generate, rank_features)
 from contrareg.cli import main
 from contrareg.io import load_model, read_table, write_table
 
@@ -383,6 +383,33 @@ def test_negative_seed_or_size_exit_3(dataset_files, tmp_path, capsys, command, 
             "gradcheck": []}[command]
     assert run_cli(command, *argv, *flags) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_bare_command_lines_use_the_config_defaults(dataset_files, tmp_path, monkeypatch,
+                                                    capsys):
+    # flags not given are not passed, so each default comes from its config class
+    fg, bg, _, _ = dataset_files
+    seen = []
+
+    def capture(config):
+        seen.append(config)
+        raise DegenerateData("config captured")           # exit 4, before any work
+
+    monkeypatch.setattr("contrareg.cli.fit", lambda data, config: capture(config))
+    monkeypatch.setattr("contrareg.cli.cross_validate",
+                        lambda data, d_grid, k, config: capture(config))
+    monkeypatch.setattr("contrareg.cli.generate_lines", capture)
+    monkeypatch.setattr("contrareg.cli.generate", capture)
+    data_flags = ["--foreground", str(fg), "--background", str(bg),
+                  "--response-col", "response"]
+    prefix = ["--out-prefix", str(tmp_path / "s")]
+    assert run_cli("fit", *data_flags, "-d", "2", "--out", str(tmp_path / "m.json")) == 4
+    assert run_cli("cv", *data_flags, "--d-grid", "1,2") == 4
+    assert run_cli("simulate", "--lines", "--n", "7", "--m", "5", *prefix) == 4
+    assert run_cli("simulate", "--n", "7", "--m", "5", "--p", "3", "--d", "1", *prefix) == 4
+    capsys.readouterr()
+    assert seen == [FitConfig(d=2), FitConfig(d=1), LinesConfig(n_fg=7, n_bg=5),
+                    GenConfig(n=7, m=5, p=3, d=1)]
 
 
 class TestConsoleScript:

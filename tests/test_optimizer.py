@@ -236,9 +236,17 @@ class TestFit:
         # _restart_seed takes the seed as np.uint64
         for seed in (-1, 2**64):
             with pytest.raises(ShapeMismatch):
-                FitConfig(d=1, seed=seed).validate()
-        FitConfig(d=1, seed=2**64 - 1).validate()
+                FitConfig(d=1, seed=seed)
+        FitConfig(d=1, seed=2**64 - 1)
         assert optimizer._restart_seed(2**64 - 1, 0) >= 0
+
+    def test_integer_settings_stored_as_int_or_rejected(self):
+        config = FitConfig(d=1.0, max_iter=np.float64(10.0), restarts=np.int64(1), seed=3.0)
+        assert [type(config.d), type(config.max_iter), type(config.restarts),
+                type(config.seed)] == [int] * 4
+        for name in ("d", "max_iter", "restarts", "seed"):
+            with pytest.raises(ShapeMismatch, match=name):
+                FitConfig(**{"d": 1, name: 1.5})
 
     def test_invalid_config_rejected(self):
         data, _ = generate(GenConfig(n=10, m=10, p=3, d=1, seed=0))

@@ -4,9 +4,12 @@ import importlib.util
 import os
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError, fields
+
+import pytest
 
 import contrareg
-from contrareg import FitConfig, GenConfig, generate, select
+from contrareg import FitConfig, GenConfig, LinesConfig, generate, select
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -14,6 +17,14 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def test_every_export_resolves():
     missing = [name for name in contrareg.__all__ if not hasattr(contrareg, name)]
     assert missing == []
+
+
+def test_settings_are_frozen():
+    # a setting is checked once, at construction; assignment would skip that check
+    for config in (FitConfig(d=1), GenConfig(n=1, m=1, p=1, d=1), LinesConfig()):
+        for field in fields(config):
+            with pytest.raises(FrozenInstanceError):
+                setattr(config, field.name, getattr(config, field.name))
 
 
 def test_benchmark_selftest_passes():

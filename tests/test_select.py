@@ -69,10 +69,18 @@ class TestCrossValidate:
                                 FitConfig(d=1, restarts=0, max_iter=20))
         assert report.d_grid == [1] and type(report.d_grid[0]) is int
 
+    def test_non_integer_k_rejected(self):
+        data, _ = generate(GenConfig(n=10, m=5, p=3, d=1, seed=0))
+        with pytest.raises(ShapeMismatch, match="k must be an integer"):
+            cross_validate(data, [1], 2.5, FitConfig(d=1))
+        report = cross_validate(data, [1], 2.0, FitConfig(d=1, max_iter=20))
+        assert type(report.k) is int
+
     @pytest.mark.parametrize("bad", [dict(tol=0.0), dict(mode="newton"),
                                      dict(max_iter=0), dict(seed=-1),
                                      dict(alpha=float("nan")), dict(alpha=float("inf")),
-                                     dict(tol=float("inf")), dict(step0=float("nan"))])
+                                     dict(tol=float("inf")), dict(step0=float("nan")),
+                                     dict(seed=1.5), dict(mode="adaptive_moment", max_iter=10.5)])
     def test_invalid_config_raises_instead_of_nan_report(self, bad):
         # every cell would fail alike, which reads as an all-NaN report
         data, _ = generate(GenConfig(n=10, m=5, p=3, d=1, seed=0))

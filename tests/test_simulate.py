@@ -51,6 +51,15 @@ class TestGenerate:
         s_marg = float(truth.beta @ truth.beta) + truth.tau2
         assert abs(var_r - s_marg) <= 0.1 * s_marg
 
+    def test_non_integer_sizes_rejected(self):
+        for bad in (dict(n=2.5), dict(p=2.5), dict(seed=0.5)):
+            with pytest.raises(ShapeMismatch, match="must be an integer"):
+                GenConfig(**{"n": 5, "m": 5, "p": 3, "d": 1, **bad})
+        for bad in (dict(n_fg=2.5), dict(image_side=8.5), dict(line_column=1.5)):
+            with pytest.raises(ShapeMismatch, match="must be an integer"):
+                LinesConfig(**bad)
+        assert type(GenConfig(n=5.0, m=5, p=3, d=1).n) is int
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ShapeMismatch):
             generate(GenConfig(n=5, m=5, p=2, d=3, seed=0))
@@ -138,6 +147,20 @@ class TestGenerateLines:
         assert np.all(off_column == 0.0)
         for img, h in zip(images, data.r.astype(int)):
             assert np.array_equal(img[:, 7], (np.arange(10) < h).astype(float))
+
+    def test_default_line_column_is_the_middle_one(self):
+        config = LinesConfig(image_side=10, n_fg=5, n_bg=2, background_rank=0,
+                             noise_sd=0.0, seed=2)
+        assert config.line_column == 5 and LinesConfig().line_column == 14
+        images = generate_lines(config).X.reshape(-1, 10, 10)
+        assert np.all(np.delete(images, 5, axis=2) == 0.0)
+        assert np.all(images[:, 0, 5] == 1.0)
+
+    def test_non_finite_noise_sd_rejected(self):
+        # it would fail later, after the textures are drawn, as non-finite data
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ShapeMismatch, match="noise_sd finite"):
+                LinesConfig(noise_sd=value)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ShapeMismatch):
