@@ -201,8 +201,7 @@ def cmd_gradcheck(args):
 
 def cmd_rank(args):
     params, _, _, _, names, _ = io.load_model(args.model)
-    ranking = rank_features(params, names,
-                            canonical_rotation=not args.no_canonical_rotation)
+    ranking = rank_features(params)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["rank", "feature", "score"])
@@ -272,12 +271,10 @@ def build_parser():
 
     p_rank = subs.add_parser(
         "rank", help="feature ranking from a saved model",
-        description="Rank features by |score|.  The canonical score, W beta / ||beta||, is "
-                    "the model's estimate of Cov(x_j, r), up to one common factor; "
-                    "--no-canonical-rotation scores by the column of W at argmax |beta_k|.")
+        description="Rank features by |score|.  The score, W beta / ||beta||, is the "
+                    "model's estimate of Cov(x_j, r), up to one common factor.")
     p_rank.add_argument("--model", required=True)
     p_rank.add_argument("--out", required=True)
-    p_rank.add_argument("--no-canonical-rotation", action="store_true")
     p_rank.set_defaults(func=cmd_rank)
     return parser
 

@@ -130,8 +130,9 @@ def save_model(path, doc):
 def load_model(path):
     """Load a model file; returns (params, center_x, center_r, alpha, names, meta).
 
-    A non-finite center_x or center_r, or an alpha that is negative or not
-    finite, is a MalformedFile.
+    A non-finite center_x or center_r, an alpha that is negative or not
+    finite, or feature_names that are neither null nor a list of strings,
+    is a MalformedFile; feature_names of the wrong length is a ShapeMismatch.
     """
     try:
         with open(path) as fh:
@@ -157,8 +158,13 @@ def load_model(path):
         raise MalformedFile(path, 1, "center_x and center_r must be finite")
     if not 0.0 <= alpha < np.inf:
         raise MalformedFile(path, 1, f"alpha must be finite and nonnegative, got {alpha}")
+    if names is not None and not (isinstance(names, list)
+                                  and all(isinstance(name, str) for name in names)):
+        raise MalformedFile(path, 1, "feature_names must be null or a list of strings")
     if params.S.shape != (p, d):
         raise ShapeMismatch(f"S shape {params.S.shape} does not match p={p}, d={d}")
     if center_x.shape != (params.p,):
         raise ShapeMismatch("center_x length does not match p")
+    if names is not None and len(names) != params.p:
+        raise ShapeMismatch("feature_names length does not match p")
     return params, center_x, center_r, alpha, names, meta

@@ -61,7 +61,7 @@ def _integral_fields(config, names):
         object.__setattr__(config, name, _integral(getattr(config, name), name))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelParams:
     """Full parameter bundle (S, W, beta, sigma2, tau2).
 
@@ -70,7 +70,8 @@ class ModelParams:
     it raises ShapeMismatch otherwise.  The arrays are stored as float64,
     without a copy when they already are, so an in-place edit afterwards is
     not re-checked.  Zero variances are a valid simulation truth; the
-    likelihood (build_workspace) needs them positive.
+    likelihood (build_workspace) needs them positive.  Equality and hash are
+    by identity: an elementwise array comparison has no single truth value.
     """
 
     S: np.ndarray        # p x d shared loadings
@@ -108,7 +109,7 @@ class ModelParams:
                 f"sigma2 and tau2 must be finite and nonnegative, got {self.sigma2}, {self.tau2}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Foreground matrix X with responses r, plus background matrix Y.
 
@@ -116,7 +117,8 @@ class Dataset:
     column count, that r has length n, that every entry is finite and that
     feature_names, if given, has length p; it raises ShapeMismatch
     otherwise.  The arrays are stored as float64, without a copy when they
-    already are, so an in-place edit afterwards is not re-checked.
+    already are, so an in-place edit afterwards is not re-checked.  Equality
+    and hash are by identity, as for ModelParams.
     """
 
     X: np.ndarray                     # n x p
@@ -153,7 +155,7 @@ class Dataset:
             raise ShapeMismatch("feature_names length does not match column count")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Workspace:
     """Small factors of P and Q for one parameter value.
 
@@ -178,7 +180,7 @@ class Workspace:
     pred_coef: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradientSet:
     """Gradient of the log-likelihood, natural (constrained) parameterization."""
 
@@ -195,7 +197,7 @@ class PredictiveDist:
     variance: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatentPosterior:
     t_mean: np.ndarray
     t_cov: np.ndarray
@@ -469,23 +471,19 @@ def latent_posterior(params: ModelParams, x) -> LatentPosterior:
     return LatentPosterior(t_mean=t_mean, t_cov=ws.A)
 
 
-def contrastive_residuals(params: ModelParams, X, allow_rank_deficient: bool = False):
-    """Rows of X minus their least-squares reconstruction from the columns of S.
+def contrastive_residuals(params: ModelParams, X):
+    """Rows of X minus their orthogonal projection onto span(S).
 
-    The residuals (the "contrastive expression") are orthogonal to span(S).
-    With allow_rank_deficient the minimum-norm solution is used instead of
-    raising on degenerate shared loadings.
+    The residuals (the "contrastive expression") are orthogonal to the
+    columns of S.  The projector comes from the left singular vectors of S,
+    so it stays accurate when S is ill-conditioned.  Raises
+    RankDeficiencyError when s_min^2 <= 1e-12 s_max^2; there is no fallback.
     """
     S = params.S
     X = np.asarray(X, float)
     if X.ndim != 2 or X.shape[1] != S.shape[0]:
         raise ShapeMismatch(f"X must have p={S.shape[0]} columns, got shape {X.shape}")
-    svals = np.linalg.svd(S, compute_uv=False)      # d >= 1 values
+    U, svals, _ = np.linalg.svd(S, full_matrices=False)      # d >= 1 values
     if svals[-1] ** 2 <= 1e-12 * svals[0] ** 2:
-        if not allow_rank_deficient:
-            raise RankDeficiencyError(
-                f"S'S is singular beyond tolerance (singular values {svals})")
-        Z = X @ np.linalg.pinv(S).T
-    else:
-        Z = np.linalg.solve(S.T @ S, S.T @ X.T).T
-    return X - Z @ S.T
+        raise RankDeficiencyError(f"S'S is singular beyond tolerance (singular values {svals})")
+    return X - (X @ U) @ U.T

@@ -25,7 +25,6 @@ class CVReport:
 
 @dataclass
 class FeatureRanking:
-    component_index: int      # 1-based latent dimension
     scores: np.ndarray        # length p
     order: np.ndarray         # permutation of 1..p, |score| descending
 
@@ -106,33 +105,19 @@ def pca_linear_baseline(train: Dataset, test_X, d: int):
     return np.column_stack([np.ones(test_X.shape[0]), test_scores]) @ coef
 
 
-def rank_features(params: ModelParams, names=None,
-                  canonical_rotation: bool = True) -> FeatureRanking:
-    """Rank features by |loading| of the response-linked contrastive component.
+def rank_features(params: ModelParams) -> FeatureRanking:
+    """Rank features by |W beta| / ||beta||, the pattern of the response-linked component.
 
-    With the canonical rotation the latent basis is rotated so beta aligns
-    with the first axis, making the selected column W beta / ||beta|| and
-    the ranking invariant to the rotational nonidentifiability of (W, beta).
-    Under the model Cov(x, r) = W beta, so the canonical score is the model's
-    estimate of Cov(x_j, r) for each feature j, up to one common factor
-    (1 / ||beta||).  Without the rotation, the raw column of W at
-    argmax |beta_k| is used.
+    Under the model Cov(x, r) = W beta, so the score is the model's estimate
+    of Cov(x_j, r) for each feature j, up to one common factor (1 / ||beta||).
+    It is the first column of W once the latent basis is rotated so that beta
+    lies on the first axis, so a joint rotation of (W, beta) leaves it
+    unchanged.  order is 1-based.  Raises ZeroBeta if ||beta|| < 1e-12.
     """
-    W, beta = params.W, params.beta
-    bnorm = float(np.linalg.norm(beta))
+    bnorm = float(np.linalg.norm(params.beta))
     if bnorm < 1e-12:
         raise ZeroBeta("||beta|| < 1e-12: no response-linked component to rank")
-    if names is not None and len(names) != W.shape[0]:
-        raise ShapeMismatch("names length does not match feature count")
-
-    if canonical_rotation:
-        # after rotating beta onto the first axis, that axis is the ranked column
-        component_index = 1
-        scores = W @ beta / bnorm
-    else:
-        component_index = int(np.argmax(np.abs(beta))) + 1
-        scores = W[:, component_index - 1].copy()
-
+    scores = params.W @ params.beta / bnorm
     # stable sort on (-|score|, index): equal magnitudes keep the lower index first
     order = np.argsort(-np.abs(scores), kind="stable") + 1
-    return FeatureRanking(component_index=component_index, scores=scores, order=order)
+    return FeatureRanking(scores=scores, order=order)

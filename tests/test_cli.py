@@ -339,7 +339,7 @@ class TestRankCommand:
         params, center_x, center_r, _, got_names, _ = load_model(model)
         lib = fit(Dataset(X=data.X, r=data.r, Y=data.Y, feature_names=names),
                   FitConfig(d=2, max_iter=300, restarts=1, seed=11))
-        ranking = rank_features(lib.params, names)
+        ranking = rank_features(lib.params)
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert [row["feature"] for row in rows] == \
@@ -360,6 +360,27 @@ class TestRankCommand:
         assert run_cli("rank", "--model", str(model),
                        "--out", str(tmp_path / "r.csv")) == 4
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["rank", "predict"])
+@pytest.mark.parametrize("names, code", [(5, 2), ("abc", 2), (["a", "b"], 3)],
+                         ids=["int", "str", "short"])
+def test_model_feature_names_checked(tmp_path, capsys, rng, command, names, code):
+    from contrareg import ModelParams
+    from contrareg.io import model_to_dict, save_model
+    params = ModelParams(S=rng.standard_normal((3, 1)), W=rng.standard_normal((3, 1)),
+                         beta=np.ones(1), sigma2=1.0, tau2=1.0)
+    doc = model_to_dict(params, np.zeros(3), 0.0, 1.0, {})
+    doc["feature_names"] = names
+    model = tmp_path / "m.json"
+    save_model(model, doc)
+    inp = tmp_path / "in.csv"
+    write_table(inp, np.zeros((2, 3)), ["a", "b", "c"])
+    out = tmp_path / "out.csv"
+    argv = {"rank": [], "predict": ["--input", str(inp)]}[command]
+    assert run_cli(command, "--model", str(model), *argv, "--out", str(out)) == code
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, flags", [

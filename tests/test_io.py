@@ -174,6 +174,24 @@ class TestModelFiles:
         with pytest.raises(ShapeMismatch):
             load_model(path)
 
+    @pytest.mark.parametrize("names", [5, "abc", [1, 2, 3], ["a", None, "c"], {"a": 1}],
+                             ids=["int", "str", "ints", "none-entry", "dict"])
+    def test_feature_names_not_a_list_of_strings(self, tmp_path, rng, names):
+        doc = model_to_dict(random_params(rng, 3, 1), np.zeros(3), 0.0, 1.0, {})
+        doc["feature_names"] = names
+        path = tmp_path / "m.json"
+        save_model(path, doc)
+        with pytest.raises(MalformedFile):
+            load_model(path)
+
+    def test_feature_names_length_checked(self, tmp_path, rng):
+        doc = model_to_dict(random_params(rng, 3, 1), np.zeros(3), 0.0, 1.0, {},
+                            feature_names=["a", "b"])
+        path = tmp_path / "m.json"
+        save_model(path, doc)
+        with pytest.raises(ShapeMismatch):
+            load_model(path)
+
     def test_zero_latent_dimension(self, tmp_path, rng):
         doc = model_to_dict(random_params(rng, 3, 1), np.zeros(3), 0.0, 1.0, {})
         doc.update(d=0, S=[[], [], []], W=[[], [], []], beta=[])

@@ -49,6 +49,18 @@ class TestConstruction:
         assert Dataset(X=X, r=np.zeros(3), Y=np.zeros((0, 2))).X is X
         assert ModelParams(S=S, W=S, beta=np.ones(1), sigma2=1.0, tau2=1.0).S is S
 
+    def test_equality_and_hash_are_identity(self):
+        # the array fields have no single truth value, so equal values do not compare equal
+        fields = dict(S=np.ones((2, 1)), W=np.zeros((2, 1)), beta=np.ones(1),
+                      sigma2=1.0, tau2=1.0)
+        params = ModelParams(**fields)
+        assert not params == ModelParams(**fields)
+        assert params == params
+        assert len({params, params}) == 1
+        data = Dataset(X=np.zeros((3, 2)), r=np.zeros(3), Y=np.zeros((4, 2)))
+        assert not data == Dataset(X=data.X, r=data.r, Y=data.Y)
+        assert data in {data}
+
     def test_zero_variances_construct_but_have_no_likelihood(self):
         # a noiseless simulation truth is valid; the likelihood divides by sigma2 and tau2
         params = ModelParams(S=np.ones((2, 1)), W=np.zeros((2, 1)), beta=np.zeros(1),
@@ -424,12 +436,19 @@ class TestContrastiveResiduals:
         with pytest.raises(RankDeficiencyError):
             contrastive_residuals(params, np.ones((2, 3)))
 
-    def test_zero_s_minimum_norm_fallback(self):
-        params = ModelParams(S=np.zeros((3, 1)), W=np.zeros((3, 1)),
-                             beta=np.zeros(1), sigma2=1.0, tau2=1.0)
-        X = np.ones((2, 3))
-        resid = contrastive_residuals(params, X, allow_rank_deficient=True)
-        assert np.array_equal(resid, X)
+    @pytest.mark.parametrize("c", [1e4, 9e5])
+    def test_ill_conditioned_s_matches_exact_projector(self, c):
+        # singular values 1, 1/sqrt(c), 1/c pass the rank test; a solve with S'S
+        # squares the condition number, an error of about 1e-5 at c = 9e5
+        rng = np.random.default_rng(0)
+        Q, _ = np.linalg.qr(rng.standard_normal((50, 3)))
+        R = random_orthogonal(rng, 3)
+        S = Q @ np.diag([1.0, c ** -0.5, 1.0 / c]) @ R.T
+        params = ModelParams(S=S, W=np.zeros((50, 3)), beta=np.zeros(3),
+                             sigma2=1.0, tau2=1.0)
+        X = rng.standard_normal((20, 50))
+        resid = contrastive_residuals(params, X)
+        assert np.max(np.abs(resid - (X - (X @ Q) @ Q.T))) < 1e-9
 
     def test_residual_orthogonal_to_s_columns(self, rng):
         params = random_params(rng, 6, 2)

@@ -1,5 +1,7 @@
 """Package surface: public exports and the names the benchmark imports."""
 
+import ast
+import glob
 import importlib.util
 import os
 import subprocess
@@ -63,3 +65,23 @@ def test_benchmark_hook_sites_resolve():
     names = {span.name for span in tracer.spans}
     assert {"select.cross_validate", "optimizer.fit", "optimizer.initialize",
             "model.evaluate", "model.build_workspace"} <= names
+
+
+def test_src_has_no_unused_imports():
+    # no linter is a test dependency; a deletion that orphans an import fails here
+    unused = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "contrareg", "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                used |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{os.path.basename(path)}:{node.lineno} {bound}")
+    assert unused == []

@@ -134,7 +134,6 @@ class TestRankFeatures:
         cos = abs(ranking.scores @ col) / (np.linalg.norm(ranking.scores)
                                            * np.linalg.norm(col))
         assert cos >= 1 - 1e-10
-        assert ranking.component_index == 1
 
     def test_hand_sorted_magnitudes(self):
         W = np.array([[3.0], [-5.0], [0.0], [1.0]])
@@ -165,22 +164,8 @@ class TestRankFeatures:
         rot = rank_features(rotated)
         assert np.array_equal(base.order, rot.order)
 
-    def test_no_rotation_uses_raw_column(self):
-        W = np.array([[1.0, 4.0], [2.0, -6.0]])
-        params = ModelParams(S=np.zeros((2, 2)), W=W,
-                             beta=np.array([0.1, -0.9]), sigma2=1.0, tau2=1.0)
-        ranking = rank_features(params, canonical_rotation=False)
-        assert ranking.component_index == 2
-        assert np.array_equal(ranking.scores, W[:, 1])
-
     def test_zero_beta_rejected(self):
         params = ModelParams(S=np.zeros((3, 1)), W=np.ones((3, 1)),
                              beta=np.zeros(1), sigma2=1.0, tau2=1.0)
         with pytest.raises(ZeroBeta):
             rank_features(params)
-
-    def test_names_length_checked(self):
-        params = ModelParams(S=np.zeros((3, 1)), W=np.ones((3, 1)),
-                             beta=np.ones(1), sigma2=1.0, tau2=1.0)
-        with pytest.raises(ShapeMismatch):
-            rank_features(params, names=["a", "b"])
