@@ -21,15 +21,15 @@ Bishop 1999; Bishop, PRML 12.2 and App. C).  The log-likelihood is
 
 and one low-rank Gaussian routine computes both Gaussian terms and their
 gradients.  It reads each data matrix Z once through |Z|^2 and one product
-Z'(Z B) with a thin p x (k + 1) block B, as PPCA's likelihood reads the
-sample covariance (Tipping & Bishop 1999): B = [V_Q v] for the foreground,
-where the extra column gives the r | x residual, and B = V_P for the
-background.  An evaluation costs O((n + m) p d) time and O((n + m) d + p d)
-memory beyond the data; neither a p x p nor an n x p matrix is formed.  The
-one exception is a Gaussian whose U has p or more columns (p <= 2d, so Z is
-n x 2d at most): there the expanded |Z C^-1|^2 cancels, and Z C^-1 is formed
-to keep d/dsigma2 accurate at a tiny sigma2.  Dense P and Q exist only in
-the test oracles.
+Z'(Z B) with the thin p x k block B = V of its factor, as PPCA's likelihood
+reads the sample covariance (Tipping & Bishop 1999): B = V_Q for the
+foreground and B = V_P for the background.  The r | x term is written once,
+in _evaluate, from the residual e = r - X v and X'e.  An evaluation costs
+O((n + m) p d) time and O((n + m) d + p d) memory beyond the data; neither a
+p x p nor an n x p matrix is formed.  The one exception is a Gaussian whose
+U has p or more columns (p <= 2d, so Z is n x 2d at most): there the
+expanded |Z C^-1|^2 cancels, and Z C^-1 is formed to keep d/dsigma2
+accurate at a tiny sigma2.  Dense P and Q exist only in the test oracles.
 """
 
 from dataclasses import dataclass
@@ -290,46 +290,35 @@ def _check_pair(params, data, alpha):
         raise ShapeMismatch(f"alpha must be finite and nonnegative, got {alpha}")
 
 
-def _gaussian(Z, V, Li, logdet, s2, want_grad, r=None, v=None):
+def _gaussian(Z, V, Li, logdet, s2, want_grad):
     """Sum over the rows z of Z of log N(z; 0, C), C = sigma2 I + U U'.
 
     V, Li and logdet are _factor's for U: C^-1 = (I - V V') / sigma2 and
-    C^-1 U = V Li.  Given r and v it also returns the residual e = r - Z v
-    (else None).  With want_grad it returns d/dU, d/dsigma2 and, given r and
-    v, w = C^-1 Z' e and U' w.  The data enter once, through Z B and
-    G = Z'(Z B) with B = [V v]: K = (Z V)'(Z V) gives Z C^-1 U = Z V Li,
-    (Z C^-1)' Z C^-1 U = (G_V - V K) Li / sigma2 and
+    C^-1 U = V Li.  Returns (ll, None), or with want_grad (ll, (d/dU,
+    d/dsigma2)).  The data enter once, through Z V and G = Z'(Z V):
+    K = (Z V)'(Z V) gives Z C^-1 U = Z V Li, (Z C^-1)' Z C^-1 U =
+    (G - V K) Li / sigma2 and
     |Z C^-1|^2 = (|Z|^2 - tr K) / sigma2^2 - tr(Li' K Li) / sigma2.  When U
     has p or more columns no direction carries only noise and that
     difference cancels, so there Z C^-1 is formed instead (p <= 2d, tiny).
     """
     n, p = Z.shape
     k = V.shape[1]
-    if v is None:
-        ZB = Z @ V
-    else:
-        ZB = Z @ np.column_stack([V, v])
-        ZB[:, k] = r - ZB[:, k]                    # e = r - Z v
-    ZV = ZB[:, :k]
+    ZV = Z @ V
     quad = np.vdot(Z, Z)
     K = ZV.T @ ZV
     trK = K.trace()
     ll = -0.5 * (n * (logdet + p * LOG_2PI) + (quad - trK) / s2)
-    e = None if v is None else ZB[:, k]
     if not want_grad:
-        return ll, e, None
-    G = Z.T @ ZB                                   # [Z'Z V, Z'e]
-    dU = ((G[:, :k] - V @ K) / s2 - n * V) @ Li
+        return ll, None
+    dU = ((Z.T @ ZV - V @ K) / s2 - n * V) @ Li
     if k < p:
         zci2 = (quad - trK) / (s2 * s2) - np.vdot(Li, K @ Li) / s2
     else:
         ZCi = (Z - ZV @ V.T) / s2
         zci2 = np.vdot(ZCi, ZCi)
     ds2 = 0.5 * (zci2 - n * (p - np.vdot(V, V)) / s2)
-    if v is None:
-        return ll, None, (dU, ds2, None, None)
-    VZe = V.T @ G[:, k]
-    return ll, e, (dU, ds2, (G[:, k] - V @ VZe) / s2, Li.T @ VZe)
+    return ll, (dU, ds2)
 
 
 def _evaluate(params, data, alpha, want_grad):
@@ -337,8 +326,8 @@ def _evaluate(params, data, alpha, want_grad):
 
     log p = log N(X; 0, Q) + log N(r | X) + alpha log N(Y; 0, P), with both
     Gaussian terms from _gaussian.  r | x is N(v' x, s), v = pred_coef and
-    s = pred_var; the foreground's _gaussian call also gives its residual
-    e = r - X v, w = Q^-1 X' e and U' w.
+    s = pred_var; this term is written here alone, from the residual
+    e = r - X v and, for the gradient, X' e, w = Q^-1 X' e and U' w.
     At a tiny noise variance the gradient overflows into inf - inf: a
     non-finite ll is -inf and a non-finite gradient a FactorizationError,
     without floating-point warnings.
@@ -347,25 +336,29 @@ def _evaluate(params, data, alpha, want_grad):
     d = params.d
     s2 = np.float64(params.sigma2)
     beta = params.beta
-    n = data.n
+    X, n = data.X, data.n
     v = ws.pred_coef                               # Q^-1 W beta = P^-1 W A beta
     s = np.float64(ws.pred_var)                    # tau2 + beta' A beta
     use_bg = alpha > 0.0 and data.m > 0
 
     with np.errstate(all="ignore"):
-        ll, e, gx = _gaussian(data.X, ws.V_Q, ws.Li_Q, ws.logdet_Q, s2, want_grad,
-                              r=data.r, v=v)
+        ll, gx = _gaussian(X, ws.V_Q, ws.Li_Q, ws.logdet_Q, s2, want_grad)
+        e = data.r - X @ v
         E2 = e @ e
         ll += -0.5 * (n * (np.log(s) + LOG_2PI) + E2 / s)
         if use_bg:
-            ll_y, _, gy = _gaussian(data.Y, ws.V_P, ws.Li_P, ws.logdet_P, s2, want_grad)
+            ll_y, gy = _gaussian(data.Y, ws.V_P, ws.Li_P, ws.logdet_P, s2, want_grad)
             ll += alpha * ll_y
         if not np.isfinite(ll):
             ll = -np.inf
         if not want_grad:
             return ll, None
 
-        dU, dsigma2, w, wU = gx                    # w = Q^-1 X' e, wU = U' w
+        dU, dsigma2 = gx
+        Xe = X.T @ e
+        VXe = ws.V_Q.T @ Xe
+        w = (Xe - ws.V_Q @ VXe) / s2               # Q^-1 X' e
+        wU = ws.Li_Q.T @ VXe                       # U' w
         kappa = (E2 / s - n) / (2.0 * s)           # d ll / d s
         # the regression term reaches U through Q in v and in s
         dU += np.outer(2.0 * kappa * v - w / s, ws.U.T @ v) - np.outer(v, wU) / s

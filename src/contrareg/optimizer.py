@@ -81,7 +81,7 @@ class FitConfig:
             raise ShapeMismatch(f"seed must be in [0, 2**64), got {self.seed}")
 
 
-@dataclass
+@dataclass(eq=False)
 class FitResult:
     params: ModelParams
     center_x: np.ndarray

@@ -8,13 +8,13 @@ from .errors import (ConstantTruth, DegenerateData, FactorizationError,
                      NonFiniteObjective, RankDeficiencyError, ShapeMismatch,
                      TooFewSamples, ZeroBeta)
 from .model import Dataset, ModelParams, _integral
-from .optimizer import FitConfig, fit
+from .optimizer import FitConfig, _ppca_loadings, fit
 from .simulate import r_squared
 
 _TIE_TOL = 1e-12
 
 
-@dataclass
+@dataclass(eq=False)
 class CVReport:
     d_grid: list
     k: int
@@ -23,7 +23,7 @@ class CVReport:
     best_d: int
 
 
-@dataclass
+@dataclass(eq=False)
 class FeatureRanking:
     scores: np.ndarray        # length p
     order: np.ndarray         # permutation of 1..p, |score| descending
@@ -83,21 +83,27 @@ def cross_validate(data: Dataset, d_grid, k: int, config: FitConfig) -> CVReport
 
 
 def pca_linear_baseline(train: Dataset, test_X, d: int):
-    """Top-d PCA of the foreground training matrix + OLS of r on the scores."""
+    """Top-d PCA of the foreground training matrix + OLS of r on the scores.
+
+    The components are _ppca_loadings' Gram eigenvectors, whose eigenvalues
+    err by about eps s_1^2; so RankDeficiencyError when s_d^2 <= 1e-12 s_1^2,
+    as in contrastive_residuals, or n <= d (centering leaves rank n - 1).
+    """
     test_X = np.asarray(test_X, float)
     if d < 1 or d > train.p:
         raise ShapeMismatch(f"need 1 <= d <= p, got d={d}, p={train.p}")
     if test_X.ndim != 2 or test_X.shape[1] != train.p:
         raise ShapeMismatch(f"test_X must have p={train.p} columns, got {test_X.shape}")
+    if train.n <= d:
+        raise RankDeficiencyError(f"need more than d={d} training rows, got {train.n}")
 
     mean = train.X.mean(axis=0)
     Xc = train.X - mean
-    _, svals, Vt = np.linalg.svd(Xc, full_matrices=False)
-    tol = max(Xc.shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)
-    if np.sum(svals > tol) < d:
+    loadings, comps = _ppca_loadings(Xc, d)
+    sizes = np.linalg.norm(loadings, axis=0)
+    if sizes[-1] ** 2 <= 1e-12 * sizes[0] ** 2:
         raise RankDeficiencyError(
-            f"training matrix has fewer than d={d} nonzero singular values")
-    comps = Vt[:d].T
+            f"training matrix has fewer than d={d} singular values above 1e-6 s_1")
     scores = Xc @ comps
     design = np.column_stack([np.ones(train.n), scores])
     coef, *_ = np.linalg.lstsq(design, train.r, rcond=None)

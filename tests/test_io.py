@@ -63,6 +63,32 @@ class TestTables:
         with pytest.raises(MalformedFile):
             read_table(path)
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("x,y\n1,2\n\n3,4\n", 3, "expected 2 cells, got 0"),     # blank line inside
+        ("x,y\n1,2\n\n", 3, "expected 2 cells, got 0"),           # blank line at the end
+        ("x,y\n1,2\n#3,4\n", 3, "non-numeric"),                   # no comment syntax
+    ], ids=["blank_middle", "blank_end", "hash_cell"])
+    def test_rejected_lines(self, tmp_path, text, line, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(MalformedFile) as exc:
+            read_table(path)
+        assert exc.value.line == line
+        assert f"{path}:{line}:" in str(exc.value) and message in str(exc.value)
+
+    @pytest.mark.parametrize("text, expected", [
+        ('x,y\n"1.5",2\n', [[1.5, 2.0]]),                         # quoted number
+        ("x,y\n 1.5 ,2\n", [[1.5, 2.0]]),                         # spaces around a number
+        ("x,y\n1_000,2\n", [[1000.0, 2.0]]),                      # float() accepts underscores
+        ("x,y\n1,2\n", [[1.0, 2.0]]),                             # one data row stays 2-d
+    ], ids=["quoted", "spaces", "underscore", "one_row"])
+    def test_accepted_cells(self, tmp_path, text, expected):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        matrix, _, _ = read_table(path)
+        assert matrix.shape == np.shape(expected)
+        assert np.array_equal(matrix, expected)
+
     def test_duplicate_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,x\n1,2\n")

@@ -85,3 +85,39 @@ def test_src_has_no_unused_imports():
                     if bound not in used:
                         unused.append(f"{os.path.basename(path)}:{node.lineno} {bound}")
     assert unused == []
+
+
+def test_src_has_no_unreferenced_definitions():
+    # every module-level function, class and constant is used somewhere in the package
+    # (outside its own definition) or exported; a deletion that orphans a helper fails here
+    trees = {}
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "contrareg", "*.py"))):
+        with open(path) as fh:
+            trees[os.path.basename(path)] = ast.parse(fh.read(), path)
+    defined, used = [], {}          # used: name -> statements (module, lineno) that mention it
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(module, stmt.lineno, name) for name in names
+                        if not (name.startswith("__") and name.endswith("__"))]
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    mentioned = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    mentioned = [node.attr]
+                elif isinstance(node, ast.ImportFrom):
+                    mentioned = [alias.name for alias in node.names]
+                else:
+                    mentioned = []
+                for name in mentioned:
+                    used.setdefault(name, set()).add((module, stmt.lineno))
+    exported = set(contrareg.__all__)
+    unreferenced = [f"{module}:{lineno} {name}" for module, lineno, name in defined
+                    if name not in exported and used.get(name, set()) - {(module, lineno)} == set()]
+    assert unreferenced == []

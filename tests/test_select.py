@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from contrareg import (Dataset, FitConfig, GenConfig, ModelParams,
-                       RankDeficiencyError, ShapeMismatch, TooFewSamples,
-                       ZeroBeta, cross_validate, fit, generate,
+from contrareg import (CVReport, Dataset, FeatureRanking, FitConfig, FitResult,
+                       GenConfig, ModelParams, RankDeficiencyError, ShapeMismatch,
+                       TooFewSamples, ZeroBeta, cross_validate, fit, generate,
                        pca_linear_baseline, rank_features)
 
 from conftest import random_orthogonal
@@ -121,6 +121,62 @@ class TestPcaLinearBaseline:
             pca_linear_baseline(train, X, 4)
         with pytest.raises(ShapeMismatch):
             pca_linear_baseline(train, rng.standard_normal((5, 2)), 2)
+
+    def test_zero_training_rows_rejected_like_one(self, rng):
+        # the mean of zero rows would warn before the rank rule is reached
+        for rows in (0, 1):
+            train = Dataset(X=rng.standard_normal((rows, 3)), r=rng.standard_normal(rows),
+                            Y=np.zeros((0, 3)))
+            with pytest.raises(RankDeficiencyError):
+                pca_linear_baseline(train, rng.standard_normal((2, 3)), 1)
+
+    @staticmethod
+    def _two_directions(rng, rows, p, rho):
+        """X = U diag(1, rho) V' with U orthogonal to the ones vector, so centering keeps X."""
+        G = rng.standard_normal((rows, 2))
+        U = np.linalg.qr(G - G.mean(axis=0))[0]
+        V = np.linalg.qr(rng.standard_normal((p, 2)))[0]
+        return U @ np.diag([1.0, rho]) @ V.T, V
+
+    # 30 x 6 takes _ppca_loadings' Z'Z branch, 8 x 40 its Z Z' branch
+    @pytest.mark.parametrize("rows, p", [(30, 6), (8, 40)])
+    def test_singular_value_at_gram_rounding_level_rejected(self, rng, rows, p):
+        # s_2^2 = 1e-14 s_1^2 is below what the Gram eigenvalues resolve
+        X, _ = self._two_directions(rng, rows, p, 1e-7)
+        train = Dataset(X=X, r=rng.standard_normal(rows), Y=np.zeros((0, p)))
+        with pytest.raises(RankDeficiencyError):
+            pca_linear_baseline(train, X, 2)
+
+    @pytest.mark.parametrize("rows, p", [(30, 6), (8, 40)])
+    def test_small_singular_value_matches_svd_oracle(self, rng, rows, p):
+        X, V = self._two_directions(rng, rows, p, 1e-4)
+        r = rng.standard_normal(rows)
+        # test rows in the row space of X: the Gram eigenvectors may tilt the second
+        # component by about eps / rho^2 into directions that X does not have
+        test_X = np.vstack([X, rng.standard_normal((5, 2)) @ np.diag([1.0, 1e-4]) @ V.T])
+        got = pca_linear_baseline(Dataset(X=X, r=r, Y=np.zeros((0, p))), test_X, 2)
+        mean = X.mean(axis=0)
+        comps = np.linalg.svd(X - mean, full_matrices=False)[2][:2].T
+        design = np.column_stack([np.ones(rows), (X - mean) @ comps])
+        coef, *_ = np.linalg.lstsq(design, r, rcond=None)
+        want = np.column_stack([np.ones(len(test_X)), (test_X - mean) @ comps]) @ coef
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_result_equality_and_hash_are_identity():
+    # the array fields have no single truth value, so equal values do not compare equal
+    ranking = FeatureRanking(scores=np.ones(2), order=np.array([1, 2]))
+    report = CVReport(d_grid=[1], k=2, train_r2=np.zeros((1, 2)), test_r2=np.zeros((1, 2)),
+                      best_d=1)
+    params = ModelParams(S=np.ones((2, 1)), W=np.zeros((2, 1)), beta=np.ones(1),
+                         sigma2=1.0, tau2=1.0)
+    result = FitResult(params=params, center_x=np.zeros(2), center_r=0.0, ll_trace=[0.0],
+                       converged=True, best_restart=0, wall_time_seconds=0.0,
+                       grad_inf_norm=0.0)
+    for value in (ranking, report, result):
+        assert not value == type(value)(**vars(value))
+        assert value == value
+        assert len({value, value}) == 1
 
 
 class TestRankFeatures:
