@@ -84,6 +84,8 @@ def write_table(path, matrix, names, responses=None, response_col="response"):
     if responses is not None:
         header.append(response_col)
         matrix = np.column_stack([matrix, np.asarray(responses, float)])
+    if len(set(header)) != len(header):         # read_table rejects such a file
+        raise ShapeMismatch("duplicate column names")
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)      # names may need quoting; numbers never do
         # one row at a time: tolist() of the whole matrix would hold every cell as a float object

@@ -90,6 +90,7 @@ def pca_linear_baseline(train: Dataset, test_X, d: int):
     as in contrastive_residuals, or n <= d (centering leaves rank n - 1).
     """
     test_X = np.asarray(test_X, float)
+    d = _integral(d, "d")
     if d < 1 or d > train.p:
         raise ShapeMismatch(f"need 1 <= d <= p, got d={d}, p={train.p}")
     if test_X.ndim != 2 or test_X.shape[1] != train.p:

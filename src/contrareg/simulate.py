@@ -117,26 +117,30 @@ def estimation_errors(estimate: ModelParams, truth: ModelParams) -> ErrorReport:
 
 
 _PATTERN_SD = 0.3       # per-pixel sd of the strongest texture component
-_PATTERN_DECAY = 3.0    # amplitude ratio between consecutive components
+_PATTERN_DECAY = 3.0    # amplitude ratio between consecutive components, so the leading ones
+                        # dominate the texture and the trailing ones fall below the line's variance
+
+
+def _periodic_blur(images, sigma):
+    """Periodic Gaussian blur of the last two axes, truncated at 4 sigma."""
+    radius = int(4.0 * sigma + 0.5)
+    phi = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
+    w = phi[radius:] / phi.sum()        # the full kernel's sum, as in ndimage.gaussian_filter
+    for axis in (-2, -1):
+        out = images * w[0]
+        for j in range(radius, 0, -1):  # and its order of sums: the output matches it bit for bit
+            out += (np.roll(images, j, axis) + np.roll(images, -j, axis)) * w[j]
+        images = out
+    return images
 
 
 def _smooth_patterns(rank, side, rng):
-    """Smooth random images used as shared texture components.
-
-    Amplitudes decay geometrically so the texture has a realistic spectrum:
-    the leading components dominate the image variance while the trailing
-    ones fall below the variance of the foreground line.
-    """
-    # imported here: scipy.ndimage takes longer to import than all of contrareg
-    from scipy.ndimage import gaussian_filter
-
-    patterns = np.empty((rank, side, side))
-    for k in range(rank):
-        raw = rng.standard_normal((side, side))
-        img = gaussian_filter(raw, sigma=side / 8.0, mode="wrap")
-        sd = img.std()
-        amp = _PATTERN_SD * _PATTERN_DECAY ** (-k)
-        patterns[k] = img * (amp / sd) if sd > 0 else img
+    """Shared texture components: white noise under a periodic blur with sigma = side / 8."""
+    patterns = _periodic_blur(rng.standard_normal((rank, side, side)), side / 8.0)
+    for k, img in enumerate(patterns):
+        sd = img.std()          # 0 for a 1 x 1 image
+        if sd > 0:
+            img *= _PATTERN_SD * _PATTERN_DECAY ** (-k) / sd
     return patterns.reshape(rank, side * side)
 
 
@@ -146,21 +150,13 @@ def generate_lines(config: LinesConfig) -> Dataset:
     side = config.image_side
     p = side * side
     patterns = _smooth_patterns(config.background_rank, side, rng)
-
-    def texture_block(count):
-        if config.background_rank == 0:
-            return np.zeros((count, p))
-        coefs = rng.standard_normal((count, config.background_rank))
-        return coefs @ patterns
-
-    fg = texture_block(config.n_fg)
+    fg = rng.standard_normal((config.n_fg, config.background_rank)) @ patterns
     heights = rng.integers(1, side + 1, size=config.n_fg)
-    for i, h in enumerate(heights):
-        # vertical line of fixed unit intensity, rows 0..h-1 of line_column
-        fg[i, np.arange(h) * side + config.line_column] += 1.0
+    # vertical line of fixed unit intensity, rows 0..h-1 of line_column
+    fg[:, config.line_column::side] += np.arange(side) < heights[:, None]
     fg += config.noise_sd * rng.standard_normal((config.n_fg, p))
 
-    bg = texture_block(config.n_bg)
+    bg = rng.standard_normal((config.n_bg, config.background_rank)) @ patterns
     bg += config.noise_sd * rng.standard_normal((config.n_bg, p))
 
     names = [f"px_{i // side}_{i % side}" for i in range(p)]

@@ -95,6 +95,15 @@ class TestTables:
         with pytest.raises(MalformedFile):
             read_table(path)
 
+    @pytest.mark.parametrize("names, responses", [(["a", "response"], [1.0, 2.0]),
+                                                  (["a", "a"], None)])
+    def test_write_refuses_duplicate_header(self, tmp_path, names, responses):
+        # read_table rejects a duplicate header, so write_table writes none
+        path = tmp_path / "t.csv"
+        with pytest.raises(ShapeMismatch, match="duplicate"):
+            write_table(path, np.ones((2, 2)), names, responses=responses)
+        assert not path.exists()
+
     def test_missing_response_column(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("x,y\n1,2\n")

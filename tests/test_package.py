@@ -4,6 +4,7 @@ import ast
 import glob
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError, fields
@@ -38,11 +39,12 @@ def test_benchmark_selftest_passes():
 
 
 def test_import_loads_no_scipy():
-    # scipy is imported only by the functions that use it; start-up of every CLI process
-    # pays for what the package imports, and a pca_warm_start initialization uses numpy only
+    # start-up of every CLI process pays for what the package imports; a pca_warm_start
+    # initialization and the corrupted-lines simulator use numpy only
     code = ("import sys, contrareg, contrareg.cli; "
             "data, _ = contrareg.generate(contrareg.GenConfig(n=12, m=6, p=3, d=1, seed=0)); "
             "contrareg.initialize(data, contrareg.FitConfig(d=1, init='pca_warm_start')); "
+            "contrareg.generate_lines(contrareg.LinesConfig(image_side=8, n_fg=3, n_bg=2)); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
@@ -65,6 +67,25 @@ def test_benchmark_hook_sites_resolve():
     names = {span.name for span in tracer.spans}
     assert {"select.cross_validate", "optimizer.fit", "optimizer.initialize",
             "model.evaluate", "model.build_workspace"} <= names
+
+
+def test_declared_dependencies_match_imports():
+    # the runtime dependencies in pyproject.toml are exactly the third-party packages
+    # that src/contrareg imports, function-level imports included
+    tomllib = pytest.importorskip("tomllib")
+    imported = set()
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "contrareg", "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    imported -= set(sys.stdlib_module_names) | {"contrareg"}
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    assert imported == {re.match(r"[A-Za-z0-9._-]+", spec).group() for spec in declared}
 
 
 def test_src_has_no_unused_imports():

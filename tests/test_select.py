@@ -122,6 +122,15 @@ class TestPcaLinearBaseline:
         with pytest.raises(ShapeMismatch):
             pca_linear_baseline(train, rng.standard_normal((5, 2)), 2)
 
+    def test_d_read_as_an_integer(self, rng):
+        # d goes through the same integer rule as cross_validate's grid
+        X = rng.standard_normal((10, 3))
+        train = Dataset(X=X, r=rng.standard_normal(10), Y=np.zeros((0, 3)))
+        assert np.array_equal(pca_linear_baseline(train, X, np.float64(2.0)),
+                              pca_linear_baseline(train, X, 2))
+        with pytest.raises(ShapeMismatch, match="integer"):
+            pca_linear_baseline(train, X, 1.5)
+
     def test_zero_training_rows_rejected_like_one(self, rng):
         # the mean of zero rows would warn before the rank rule is reached
         for rows in (0, 1):

@@ -6,6 +6,7 @@ import pytest
 from contrareg import (ConstantTruth, ErrorReport, GenConfig, LinesConfig,
                        ModelParams, ShapeMismatch, estimation_errors, generate,
                        generate_lines, r_squared)
+from contrareg.simulate import _periodic_blur
 
 from conftest import random_orthogonal, random_params
 
@@ -155,6 +156,16 @@ class TestGenerateLines:
         images = generate_lines(config).X.reshape(-1, 10, 10)
         assert np.all(np.delete(images, 5, axis=2) == 0.0)
         assert np.all(images[:, 0, 5] == 1.0)
+
+    def test_blur_matches_scipy_reference(self):
+        # the kernel has 2r + 1 > side taps (r = int(side / 2 + 0.5)), so every sum wraps
+        ndimage = pytest.importorskip("scipy.ndimage")
+        for side in range(1, 41):
+            stack = np.random.default_rng(side).standard_normal((3, side, side))
+            got = _periodic_blur(stack, side / 8.0)
+            for img, blurred in zip(stack, got):
+                want = ndimage.gaussian_filter(img, sigma=side / 8.0, mode="wrap")
+                assert np.max(np.abs(blurred - want)) <= 1e-15 * np.max(np.abs(want))
 
     def test_non_finite_noise_sd_rejected(self):
         # it would fail later, after the textures are drawn, as non-finite data
