@@ -43,4 +43,8 @@ class MalformedFile(ContrastiveRegressionError):
     def __init__(self, path, line, message):
         self.path = path
         self.line = line
+        self.message = message
         super().__init__(f"{path}:{line}: {message}")
+
+    def __reduce__(self):       # pickled by its three arguments, e.g. back from a worker process
+        return type(self), (self.path, self.line, self.message)

@@ -2,10 +2,19 @@
 
 Floats are serialized with Python's shortest round-trip repr, so writing,
 reading back, and writing again yields byte-identical files.
+
+Where the csv module would only split a table's body at its commas (no
+quote, bare carriage return, blank line or line over the field size
+limit), numpy's C parser reads the body; a table it rejects, or reads with
+another shape or a non-finite cell, is read line by line by csv and float()
+instead, which name the line of each error.  Both give the same array
+bits.  A file that cannot be opened, read or written raises
+MalformedFile at line 0.
 """
 
 import csv
 import json
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -21,6 +30,55 @@ SCHEMA_VERSION = 1
 
 def read_table(path, response_col=None):
     """Read a feature table; returns (matrix, feature_names, responses or None)."""
+    return _read_fast(path, response_col) or _read_rows(path, response_col)
+
+
+def _read_fast(path, response_col):
+    """The table read by numpy's parser, or None where _read_rows must decide.
+
+    Used only where the csv module would split each body line at its commas
+    and nothing else: no quote, bare carriage return, blank line or line
+    over the field size limit.  numpy then converts each cell with the
+    routine float() uses.  A file that cannot be read, a header _read_rows
+    rejects, and a body numpy rejects or reads with another shape or a
+    non-finite value are all left to _read_rows, the one source of error
+    messages.
+    """
+    try:
+        with open(path, newline="") as fh:
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError):
+        return None
+    if "\r" in lines[-1] or any(line.find("\r", 0, len(line) - 1) >= 0 for line in lines):
+        return None                         # a \r not ending a line ends one for csv alone
+    reader = csv.reader(line + "\n" for line in lines)
+    try:
+        header = next(reader)
+    except csv.Error:
+        return None
+    body = lines[reader.line_num:]          # line_num > 1 if a quoted name spans lines
+    if body[-1:] == [""]:                   # what follows the last newline
+        body.pop()
+    limit = csv.field_size_limit()
+    if not body or any('"' in line or not line.strip() or len(line) > limit for line in body):
+        return None
+    if len(set(header)) != len(header) or response_col not in (None, *header):
+        return None
+    try:
+        cells = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if cells.shape != (len(body), len(header)) or not np.isfinite(cells).all():
+        return None
+    if response_col is None:
+        return cells, header, None
+    ridx = header.index(response_col)
+    return (np.delete(cells, ridx, axis=1), header[:ridx] + header[ridx + 1:],
+            cells[:, ridx].copy())
+
+
+def _read_rows(path, response_col):
+    """Per-line parser: csv splits the cells, float() reads each one."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -86,7 +144,7 @@ def write_table(path, matrix, names, responses=None, response_col="response"):
         matrix = np.column_stack([matrix, np.asarray(responses, float)])
     if len(set(header)) != len(header):         # read_table rejects such a file
         raise ShapeMismatch("duplicate column names")
-    with open(path, "w", newline="") as fh:
+    with writing(path) as fh:
         csv.writer(fh).writerow(header)      # names may need quoting; numbers never do
         # one row at a time: tolist() of the whole matrix would hold every cell as a float object
         for row in matrix:
@@ -94,11 +152,21 @@ def write_table(path, matrix, names, responses=None, response_col="response"):
 
 
 def write_predictions(path, means, variance):
-    with open(path, "w", newline="") as fh:
+    with writing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["row", "mean", "variance"])
         for i, mu in enumerate(means):
             writer.writerow([i, repr(float(mu)), repr(float(variance))])
+
+
+@contextmanager
+def writing(path, newline=""):
+    """Open path to write text; an OSError in opening or writing is a MalformedFile."""
+    try:
+        with open(path, "w", newline=newline) as fh:
+            yield fh
+    except OSError as exc:
+        raise MalformedFile(path, 0, str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +192,7 @@ def model_to_dict(params, center_x, center_r, alpha, meta, feature_names=None):
 
 
 def save_model(path, doc):
-    with open(path, "w") as fh:
+    with writing(path, newline=None) as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 

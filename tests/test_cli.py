@@ -2,6 +2,7 @@
 
 import csv
 import json
+import multiprocessing
 import subprocess
 import sys
 
@@ -290,6 +291,36 @@ class TestSimulateCommand:
         assert "--response-col" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_lines_bytes_equal_in_process_writes(self, tmp_path, capsys):
+        # the background table is written by a worker process; its bytes do not change
+        from contrareg import generate_lines
+        prefix = tmp_path / "sim"
+        assert run_cli("simulate", "--lines", "--n", "9", "--m", "7", "--image-side", "6",
+                       "--seed", "3", "--out-prefix", str(prefix)) == 0
+        assert multiprocessing.active_children() == []
+        capsys.readouterr()
+        data = generate_lines(LinesConfig(n_fg=9, n_bg=7, image_side=6, seed=3))
+        write_table(tmp_path / "fg.csv", data.X, data.feature_names, responses=data.r)
+        write_table(tmp_path / "bg.csv", data.Y, data.feature_names)
+        for part, ref in (("foreground", "fg"), ("background", "bg")):
+            assert (tmp_path / f"sim_{part}.csv").read_bytes() == \
+                   (tmp_path / f"{ref}.csv").read_bytes()
+
+    @pytest.mark.parametrize("blocked", ["missing_dir", "background_is_a_dir"])
+    def test_unwritable_output_exit_2(self, tmp_path, capsys, blocked):
+        prefix = tmp_path / "sim"
+        if blocked == "missing_dir":
+            prefix = tmp_path / "missing" / "sim"
+            named = f"{prefix}_foreground.csv"
+        else:
+            named = f"{prefix}_background.csv"
+            (tmp_path / "sim_background.csv").mkdir()
+        assert run_cli("simulate", "--lines", "--n", "5", "--m", "5", "--image-side", "4",
+                       "--out-prefix", str(prefix)) == 2
+        assert multiprocessing.active_children() == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named}:0: ")
+
     def test_invalid_sizes_exit_2(self, tmp_path, capsys):
         code = run_cli("simulate", "--n", "5", "--m", "5",
                        "--out-prefix", str(tmp_path / "s"))
@@ -381,6 +412,24 @@ def test_model_feature_names_checked(tmp_path, capsys, rng, command, names, code
     assert run_cli(command, "--model", str(model), *argv, "--out", str(out)) == code
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "cv", "predict", "rank"])
+def test_unwritable_output_exit_2(dataset_files, tmp_path, capsys, command):
+    fg, bg, _, _ = dataset_files
+    model = tmp_path / "m.json"
+    assert run_cli(*fit_flags(fg, bg, model, max_iter=5, restarts=0)) == 0
+    out = tmp_path / "missing" / "out"
+    data_flags = ["--foreground", str(fg), "--background", str(bg),
+                  "--response-col", "response"]
+    argv = {"fit": [*data_flags, "-d", "1", "--max-iter", "5", "--out", str(out)],
+            "cv": [*data_flags, "--d-grid", "1", "--k", "2", "--max-iter", "5",
+                   "--out-csv", str(out)],
+            "predict": ["--model", str(model), "--input", str(bg), "--out", str(out)],
+            "rank": ["--model", str(model), "--out", str(out)]}[command]
+    capsys.readouterr()
+    assert run_cli(command, *argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {out}:0: ")
 
 
 @pytest.mark.parametrize("command, flags", [

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from contrareg import MalformedFile, ShapeMismatch
-from contrareg.io import (load_model, model_to_dict, read_table, save_model,
-                          write_predictions, write_table)
+from contrareg.io import (_read_fast, _read_rows, load_model, model_to_dict, read_table,
+                          save_model, write_predictions, write_table)
 
 from conftest import random_params
 
@@ -143,6 +143,97 @@ class TestTables:
         assert lines[0] == "row,mean,variance"
         assert lines[1] == "0,1.25,0.75"
         assert lines[2] == "1,-0.5,0.75"
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: write_table(path, np.ones((2, 2)), ["a", "b"]),
+    lambda path: write_predictions(path, [1.0], 0.5),
+    lambda path: save_model(path, {"schema_version": 1}),
+], ids=["write_table", "write_predictions", "save_model"])
+def test_unwritable_path_is_malformed_file(tmp_path, write):
+    path = tmp_path / "missing" / "out"
+    with pytest.raises(MalformedFile) as exc:
+        write(path)
+    assert exc.value.line == 0 and str(path) in str(exc.value)
+
+
+def _mutate(rows, kind, rng):
+    """One defect (or line-end style) put into a table of cell strings; returns (lines, eol)."""
+    i = int(rng.integers(1, len(rows))) if len(rows) > 1 else None   # a body row, if any
+    j = int(rng.integers(len(rows[0])))
+    cells = {"hash_cell": "#1", "quoted": '"1.5"', "spaces": " 2.5 ", "underscore": "1_000",
+             "nan": "nan", "inf": "-inf", "overflow": "1e400", "empty_cell": "",
+             "over_field_limit": "0" * 200000 + "1"}
+    eol = "\r\n"
+    if kind in cells:
+        rows[i][j] = cells[kind]
+    elif kind == "ragged":
+        rows[i] = rows[i][:-1] if len(rows[i]) > 1 else rows[i] + ["7"]
+    elif kind == "one_row":
+        del rows[2:]
+    elif kind == "header_only":
+        del rows[1:]
+    lines = [",".join(row) for row in rows]
+    if kind in ("blank_line", "whitespace_line"):
+        lines.insert(i, "" if kind == "blank_line" else " \t")
+    elif kind in ("stray_cr_header", "stray_cr_body"):
+        lines[0 if kind == "stray_cr_header" else i] += "\r"
+    elif kind == "cr_only":
+        eol = "\r"
+    elif kind == "lf_only":
+        eol = "\n"
+    return lines, eol
+
+
+MUTATIONS = ["clean", "lf_only", "cr_only", "no_final_newline", "one_row", "header_only",
+             "blank_line", "whitespace_line", "hash_cell", "quoted", "spaces", "underscore",
+             "nan", "inf", "overflow", "empty_cell", "ragged", "over_field_limit",
+             "stray_cr_header", "stray_cr_body"]
+
+
+class TestReadPaths:
+    """read_table against the per-line parser called directly: same bits or same error."""
+
+    @staticmethod
+    def _outcome(read):
+        try:
+            matrix, names, responses = read()
+        except MalformedFile as exc:
+            return "error", exc.line, str(exc)
+        return ("table", matrix.shape, matrix.tobytes(), names,
+                None if responses is None else responses.tobytes())
+
+    @pytest.mark.parametrize("response_col", [None, "c0"])
+    @pytest.mark.parametrize("kind", MUTATIONS)
+    def test_same_result_as_per_line_parser(self, tmp_path, kind, response_col):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            n_cols, n_rows = int(rng.integers(1, 5)), int(rng.integers(2, 6))
+            bits = rng.integers(0, 2**64, size=(n_rows, n_cols), dtype=np.uint64)
+            values = bits.view(float)
+            values[~np.isfinite(values)] = rng.standard_normal()
+            rows = [[f"c{k}" for k in range(n_cols)]]
+            rows += [[repr(v) for v in row] for row in values.tolist()]
+            lines, eol = _mutate(rows, kind, rng)
+            text = eol.join(lines) + ("" if kind == "no_final_newline" else eol)
+            path = tmp_path / f"{seed}.csv"
+            path.write_bytes(text.encode())
+            got = self._outcome(lambda: read_table(path, response_col=response_col))
+            want = self._outcome(lambda: _read_rows(path, response_col))
+            assert got == want
+            if kind in ("clean", "lf_only", "no_final_newline", "one_row"):
+                assert got[0] == "table"
+                assert _read_fast(path, response_col) is not None
+
+    def test_quoted_header_names(self, tmp_path):
+        # the header may need csv's quoting, and a quoted name may span lines
+        for header, first in (('"a,b",c', "a,b"), ('"a\nb",c', "a\nb")):
+            path = tmp_path / "t.csv"
+            path.write_bytes(f"{header}\r\n1.5,2\r\n".encode())
+            assert _read_fast(path, None) is not None
+            matrix, names, _ = read_table(path)
+            assert names == [first, "c"]
+            assert matrix.tobytes() == np.array([[1.5, 2.0]]).tobytes()
 
 
 class TestModelFiles:
