@@ -8,7 +8,9 @@ Exit codes: 0 success, 2 malformed input file or unwritable output file, 3 shape
 import argparse
 import csv
 import json
+import os
 import sys
+from contextlib import suppress
 from dataclasses import fields
 
 import numpy as np
@@ -142,20 +144,43 @@ def cmd_simulate(args):
     names = data.feature_names or [f"f{i}" for i in range(data.p)]
     if args.response_col in names:
         raise ShapeMismatch(f"--response-col {args.response_col!r} is also a feature name")
+    outputs = [args.out_prefix + "_foreground.csv", args.out_prefix + "_background.csv"]
+    if truth is not None:
+        outputs.append(args.out_prefix + "_truth.json")
+    for path in outputs:
+        if os.path.isdir(path):
+            raise MalformedFile(path, 0, "is a directory")
+    # every output goes to a temporary sibling, and all are renamed into place only once
+    # all are complete: a failed run leaves none of them, and no partial file
+    staged = [f"{path}.{os.getpid()}.part" for path in outputs]
     # imported here: at module level it would add ~10 ms to every command's start-up
     from concurrent.futures import ProcessPoolExecutor
-    # a worker writes the background table while this process writes the foreground
-    with ProcessPoolExecutor(1) as pool:
-        background = pool.submit(_write_table, args.out_prefix + "_background.csv",
-                                 data.Y, names)
-        io.write_table(args.out_prefix + "_foreground.csv", data.X, names,
-                       responses=data.r, response_col=args.response_col)
-        background.result()
-    if truth is not None:
-        meta = {"seed": config.seed, "iterations": 0, "final_ll": None, "converged": True}
-        doc = io.model_to_dict(truth, np.zeros(data.p), 0.0, 1.0, meta,
-                               feature_names=names)
-        io.save_model(args.out_prefix + "_truth.json", doc)
+    try:
+        # a worker writes the background table while this process writes the foreground
+        with ProcessPoolExecutor(1) as pool:
+            background = pool.submit(_write_table, staged[1], data.Y, names)
+            io.write_table(staged[0], data.X, names,
+                           responses=data.r, response_col=args.response_col)
+            background.result()
+        if truth is not None:
+            meta = {"seed": config.seed, "iterations": 0, "final_ll": None, "converged": True}
+            doc = io.model_to_dict(truth, np.zeros(data.p), 0.0, 1.0, meta,
+                                   feature_names=names)
+            io.save_model(staged[2], doc)
+        for part, path in zip(staged, outputs):
+            try:
+                os.replace(part, path)
+            except OSError as exc:
+                raise MalformedFile(path, 0, str(exc)) from exc
+    except MalformedFile as exc:
+        if exc.path not in staged:
+            raise
+        path = outputs[staged.index(exc.path)]
+        raise MalformedFile(path, exc.line, exc.message.replace(exc.path, path)) from None
+    finally:
+        for part in staged:
+            with suppress(OSError):
+                os.remove(part)
     return EXIT_OK
 
 

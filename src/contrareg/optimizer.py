@@ -110,16 +110,17 @@ class FitResult:
 # ---------------------------------------------------------------------------
 
 def initialize(data: Dataset, config: FitConfig) -> ModelParams:
-    """Seeded starting point; data are assumed already centered by fit()."""
+    """Seeded starting point from data centered as fit() centers them, not centered again.
+
+    Constant data raise DegenerateData; the test is exact: every pooled row equals X[0].
+    """
     if data.n == 0:
         raise DegenerateData("cannot initialize with zero foreground samples")
 
-    use_bg = data.m > 0 and config.alpha > 0
-    pooled = np.vstack([data.X, data.Y]) if use_bg else data.X
-    pooled = pooled - pooled.mean(axis=0)
-    data_var = float(np.mean(pooled ** 2))
-    if data_var <= 0.0:
+    blocks = (data.X, data.Y) if data.m > 0 and config.alpha > 0 else (data.X,)
+    if all(np.all(Z == data.X[0]) for Z in blocks):
         raise DegenerateData("all-constant columns: pooled data variance is zero")
+    data_var = sum(np.vdot(Z, Z) for Z in blocks) / (data.p * sum(len(Z) for Z in blocks))
     r_var = float(np.var(data.r))
     sigma2 = max(0.5 * data_var, _VAR_FLOOR)
     tau2 = max(0.5 * r_var, _VAR_FLOOR)
@@ -133,7 +134,7 @@ def initialize(data: Dataset, config: FitConfig) -> ModelParams:
         return ModelParams(S=S, W=W, beta=beta, sigma2=sigma2, tau2=tau2)
 
     # pca_warm_start: S from the pooled rows, W from the foreground's residual off span(S)
-    S, span = _ppca_loadings(pooled, d)
+    S, span = _ppca_loadings(np.vstack(blocks), d)
     Xc = data.X - data.X.mean(axis=0)
     W, _ = _ppca_loadings(Xc - (Xc @ span) @ span.T, d)
     return ModelParams(S=S, W=W, beta=np.zeros(d), sigma2=sigma2, tau2=tau2)
@@ -279,8 +280,7 @@ def fit(data: Dataset, config: FitConfig) -> FitResult:
 
     X, Y, r = data.X, data.Y, data.r
     # with alpha=0 the background must not influence the fit, centering included
-    pooled = np.vstack([X, Y]) if (data.m > 0 and config.alpha > 0) else X
-    center_x = pooled.mean(axis=0)
+    center_x = (np.vstack([X, Y]) if (data.m > 0 and config.alpha > 0) else X).mean(axis=0)
     center_r = float(r.mean())
     centered = Dataset(X=X - center_x, r=r - center_r, Y=Y - center_x,
                        feature_names=data.feature_names)

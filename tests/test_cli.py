@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from contrareg import (Dataset, DegenerateData, FitConfig, GenConfig, LinesConfig,
-                       build_workspace, cross_validate, fit, generate, rank_features)
+                       MalformedFile, build_workspace, cross_validate, fit, generate,
+                       rank_features)
+from contrareg import io
 from contrareg.cli import main
 from contrareg.io import load_model, read_table, write_table
 
@@ -306,20 +308,35 @@ class TestSimulateCommand:
             assert (tmp_path / f"sim_{part}.csv").read_bytes() == \
                    (tmp_path / f"{ref}.csv").read_bytes()
 
-    @pytest.mark.parametrize("blocked", ["missing_dir", "background_is_a_dir"])
-    def test_unwritable_output_exit_2(self, tmp_path, capsys, blocked):
-        prefix = tmp_path / "sim"
+    @pytest.mark.parametrize("blocked", ["missing_dir", "background_is_a_dir",
+                                         "foreground_fails_part_way"])
+    def test_unwritable_output_exit_2(self, tmp_path, capsys, monkeypatch, blocked):
+        prefix, line = tmp_path / "sim", 0
         if blocked == "missing_dir":
             prefix = tmp_path / "missing" / "sim"
             named = f"{prefix}_foreground.csv"
-        else:
+        elif blocked == "background_is_a_dir":
             named = f"{prefix}_background.csv"
             (tmp_path / "sim_background.csv").mkdir()
+            (tmp_path / "sim_foreground.csv").write_bytes(b"x,response\r\n1.0,2.0\r\n")
+        else:
+            named, line = f"{prefix}_foreground.csv", 2
+            (tmp_path / "sim_foreground.csv").write_bytes(b"x,response\r\n1.0,2.0\r\n")
+
+            def part_way(path, *args, **kwargs):
+                with open(path, "w") as fh:
+                    fh.write("p0,p1\r\n")
+                raise MalformedFile(path, 2, "No space left on device")
+
+            monkeypatch.setattr(io, "write_table", part_way)
+        before = {p.name: p.is_dir() or p.read_bytes() for p in tmp_path.iterdir()}
         assert run_cli("simulate", "--lines", "--n", "5", "--m", "5", "--image-side", "4",
                        "--out-prefix", str(prefix)) == 2
         assert multiprocessing.active_children() == []
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {named}:0: ")
+        assert err.startswith(f"error: {named}:{line}: ")
+        # neither table of this run and no partial file; a table already there is unchanged
+        assert {p.name: p.is_dir() or p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_invalid_sizes_exit_2(self, tmp_path, capsys):
         code = run_cli("simulate", "--n", "5", "--m", "5",

@@ -1,5 +1,6 @@
 """Optimizer: initialization, monotone ascent, determinism, recovery."""
 
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -68,10 +69,24 @@ class TestInitialize:
         with pytest.raises(DegenerateData):
             initialize(data, FitConfig(d=1))
 
-    def test_constant_columns_rejected(self):
-        data = Dataset(X=np.ones((8, 3)), r=np.arange(8.0), Y=np.ones((8, 3)))
+    # the pooled mean of 0.1, 1/3 and 0.7 is not exactly the constant, so centering
+    # leaves rows of rounding residue: the test must not be a variance > 0 test
+    @pytest.mark.parametrize("entry", [initialize, fit], ids=["initialize", "fit"])
+    @pytest.mark.parametrize("init", ["random_normal", "pca_warm_start"])
+    @pytest.mark.parametrize("value, rows", [(1.0, 8), (0.1, 8), (1 / 3, 10), (0.7, 300)])
+    def test_constant_columns_rejected(self, value, rows, init, entry):
+        data = Dataset(X=np.full((rows, 3), value), r=np.arange(float(rows)),
+                       Y=np.full((rows, 3), value))
         with pytest.raises(DegenerateData):
-            initialize(data, FitConfig(d=1))
+            entry(data, FitConfig(d=1, init=init, max_iter=3))
+
+    @pytest.mark.parametrize("init", ["random_normal", "pca_warm_start"])
+    def test_constant_blocks_differing_from_each_other_accepted_unless_alpha_zero(self, init):
+        # each block is constant, but the pooled rows vary when the background is pooled
+        data = Dataset(X=np.ones((8, 3)), r=np.arange(8.0), Y=np.zeros((8, 3)))
+        assert initialize(data, FitConfig(d=1, init=init)).sigma2 > 1e-6
+        with pytest.raises(DegenerateData):
+            initialize(data, FitConfig(d=1, init=init, alpha=0.0))
 
     def test_d_larger_than_p_rejected(self, rng):
         data, _ = generate(GenConfig(n=10, m=10, p=3, d=1, seed=0))
@@ -218,6 +233,35 @@ class TestFit:
         post = latent_posterior(result.params, x)
         assert np.isfinite(dist.mean) and np.isfinite(dist.variance)
         assert np.all(np.isfinite(post.t_mean)) and np.all(np.isfinite(post.t_cov))
+
+    @pytest.mark.parametrize("init", ["random_normal", "pca_warm_start"])
+    def test_translation_invariant(self, init):
+        # initialize reads fit's centered data, so no start may depend on the raw offset
+        data, _ = generate(GenConfig(n=200, m=200, p=10, d=2, seed=31))
+        c, k = np.linspace(-50.0, 80.0, 10), 3.0
+        config = FitConfig(d=2, init=init, seed=31)
+        base = fit(data, config)
+        moved = fit(Dataset(X=data.X + c, r=data.r + k, Y=data.Y + c), config)
+        assert moved.final_ll == pytest.approx(base.final_ll, rel=1e-12)
+        for f in (lambda q: q.S @ q.S.T, lambda q: q.W @ q.beta):
+            a, b = f(moved.params), f(base.params)
+            assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
+        np.testing.assert_allclose(moved.center_x, base.center_x + c, rtol=1e-12, atol=1e-12)
+        assert moved.center_r == pytest.approx(base.center_r + k, rel=1e-12)
+
+    @pytest.mark.parametrize("init, bound", [("random_normal", 1.5), ("pca_warm_start", 3.0)])
+    def test_peak_allocation_near_one_copy_of_the_data(self, init, bound):
+        # fit holds one centered copy of X and Y; the pca warm start adds one pooled stack
+        rng = np.random.default_rng(5)
+        data = Dataset(X=rng.standard_normal((1000, 100)), r=rng.standard_normal(1000),
+                       Y=rng.standard_normal((1000, 100)))
+        tracemalloc.start()
+        try:
+            fit(data, FitConfig(d=2, init=init, max_iter=3, restarts=0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * (data.X.nbytes + data.Y.nbytes)
 
     def test_predict_applies_centering(self):
         data, _ = generate(GenConfig(n=50, m=50, p=3, d=1, seed=2))
