@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 malformed input file or unwritable output file, 3 shape
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -120,14 +119,10 @@ def cmd_cv(args):
     }
     print(json.dumps(doc))
     if args.out_csv:
-        with io.writing(args.out_csv) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["d", "fold", "train_r2", "test_r2"])
-            for di, d in enumerate(report.d_grid):
-                for fi in range(report.k):
-                    writer.writerow([d, fi,
-                                     repr(float(report.train_r2[di, fi])),
-                                     repr(float(report.test_r2[di, fi]))])
+        train, test = report.train_r2.tolist(), report.test_r2.tolist()
+        io.write_rows(args.out_csv, ["d", "fold", "train_r2", "test_r2"],
+                      ((d, fi, train[di][fi], test[di][fi])
+                       for di, d in enumerate(report.d_grid) for fi in range(report.k)))
     return EXIT_OK
 
 
@@ -239,12 +234,10 @@ def cmd_gradcheck(args):
 def cmd_rank(args):
     params, _, _, _, names, _ = io.load_model(args.model)
     ranking = rank_features(params)
-    with io.writing(args.out) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "feature", "score"])
-        for rank, idx in enumerate(ranking.order, start=1):   # idx is 1-based
-            label = names[idx - 1] if names else str(idx)
-            writer.writerow([rank, label, repr(float(ranking.scores[idx - 1]))])
+    scores = ranking.scores.tolist()
+    io.write_rows(args.out, ["rank", "feature", "score"],
+                  ((rank, names[idx - 1] if names else str(idx), scores[idx - 1])
+                   for rank, idx in enumerate(ranking.order, start=1)))   # idx is 1-based
     return EXIT_OK
 
 

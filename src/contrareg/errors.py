@@ -18,7 +18,7 @@ class RankDeficiencyError(ContrastiveRegressionError):
 
 
 class DegenerateData(ContrastiveRegressionError):
-    """Dataset carries no usable variation (n = 0 or all-constant columns)."""
+    """Dataset carries no usable variation (n = 0, all-constant columns or a constant response)."""
 
 
 class NonFiniteObjective(ContrastiveRegressionError):

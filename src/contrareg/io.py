@@ -3,13 +3,13 @@
 Floats are serialized with Python's shortest round-trip repr, so writing,
 reading back, and writing again yields byte-identical files.
 
-Where the csv module would only split a table's body at its commas (no
-quote, bare carriage return, blank line or line over the field size
-limit), numpy's C parser reads the body; a table it rejects, or reads with
-another shape or a non-finite cell, is read line by line by csv and float()
-instead, which name the line of each error.  Both give the same array
-bits.  A file that cannot be opened, read or written raises
-MalformedFile at line 0.
+A table is read in one pass: csv parses its header, and numpy's C parser
+reads the body where csv would only split each line at its commas (no
+quote, blank line or line over the field size limit).  A body numpy
+rejects, or reads with another shape or a non-finite cell, is read record
+by record by the same csv reader and float(), which name the line of each
+error.  Both give the same array bits.  A file that cannot be opened, read
+or written raises MalformedFile at line 0.
 """
 
 import csv
@@ -29,47 +29,34 @@ SCHEMA_VERSION = 1
 # ---------------------------------------------------------------------------
 
 def read_table(path, response_col=None):
-    """Read a feature table; returns (matrix, feature_names, responses or None)."""
-    return _read_fast(path, response_col) or _read_rows(path, response_col)
+    """Read a feature table; returns (matrix, feature_names, responses or None).
 
-
-def _read_fast(path, response_col):
-    """The table read by numpy's parser, or None where _read_rows must decide.
-
-    Used only where the csv module would split each body line at its commas
-    and nothing else: no quote, bare carriage return, blank line or line
-    over the field size limit.  numpy then converts each cell with the
-    routine float() uses.  A file that cannot be read, a header _read_rows
-    rejects, and a body numpy rejects or reads with another shape or a
-    non-finite value are all left to _read_rows, the one source of error
-    messages.
+    The file is read once, as the lines csv would read from it.  One csv
+    reader parses the header, then each record where numpy's parser
+    declines the body; an error names the line its record ends on.
     """
     try:
         with open(path, newline="") as fh:
-            lines = fh.read().split("\n")
-    except (OSError, UnicodeDecodeError):
-        return None
-    if "\r" in lines[-1] or any(line.find("\r", 0, len(line) - 1) >= 0 for line in lines):
-        return None                         # a \r not ending a line ends one for csv alone
-    reader = csv.reader(line + "\n" for line in lines)
+            lines = fh.readlines()
+    except OSError as exc:
+        raise MalformedFile(path, 0, str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(path, _undecodable_line(path, exc.encoding),
+                            f"cannot decode as {exc.encoding}: {exc.reason}") from exc
+    reader = csv.reader(lines)
     try:
-        header = next(reader)
-    except csv.Error:
-        return None
-    body = lines[reader.line_num:]          # line_num > 1 if a quoted name spans lines
-    if body[-1:] == [""]:                   # what follows the last newline
-        body.pop()
-    limit = csv.field_size_limit()
-    if not body or any('"' in line or not line.strip() or len(line) > limit for line in body):
-        return None
-    if len(set(header)) != len(header) or response_col not in (None, *header):
-        return None
-    try:
-        cells = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if cells.shape != (len(body), len(header)) or not np.isfinite(cells).all():
-        return None
+        header = next(reader, None)
+        if header is None:
+            raise MalformedFile(path, 1, "empty file")
+        if len(set(header)) != len(header):
+            raise MalformedFile(path, 1, "duplicate column names")
+        if response_col not in (None, *header):
+            raise MalformedFile(path, 1, f"response column {response_col!r} not found")
+        cells = _numpy_body(lines[reader.line_num:], len(header))
+        if cells is None:
+            cells = _csv_body(path, reader, len(header))
+    except csv.Error as exc:
+        raise MalformedFile(path, reader.line_num, f"invalid CSV: {exc}") from exc
     if response_col is None:
         return cells, header, None
     ridx = header.index(response_col)
@@ -77,52 +64,41 @@ def _read_fast(path, response_col):
             cells[:, ridx].copy())
 
 
-def _read_rows(path, response_col):
-    """Per-line parser: csv splits the cells, float() reads each one."""
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
-    except OSError as exc:
-        raise MalformedFile(path, 0, str(exc)) from exc
-    except csv.Error as exc:
-        raise MalformedFile(path, reader.line_num, f"invalid CSV: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise MalformedFile(path, _undecodable_line(path, exc.encoding),
-                            f"cannot decode as {exc.encoding}: {exc.reason}") from exc
-    if not rows:
-        raise MalformedFile(path, 1, "empty file")
-    header = rows[0]
-    if len(set(header)) != len(header):
-        raise MalformedFile(path, 1, "duplicate column names")
-    if response_col is not None:
-        if response_col not in header:
-            raise MalformedFile(path, 1, f"response column {response_col!r} not found")
-        ridx = header.index(response_col)
-    else:
-        ridx = None
-    names = [h for i, h in enumerate(header) if i != ridx]
+def _numpy_body(body, width):
+    """The body read by numpy's parser, or None where csv must read it.
 
-    data = []
-    resp = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise MalformedFile(path, lineno,
-                                f"expected {len(header)} cells, got {len(row)}")
+    Used only where csv would split each line at its commas and nothing
+    else: no quote, blank line or line over the field size limit.  numpy
+    then converts each cell with the routine float() uses; a body it
+    rejects, or reads with another shape or a non-finite cell, is left to
+    csv, the one source of error messages.
+    """
+    limit = csv.field_size_limit()
+    if not body or any('"' in line or not line.strip() or len(line) > limit for line in body):
+        return None
+    try:
+        cells = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if cells.shape != (len(body), width) or not np.isfinite(cells).all():
+        return None
+    return cells
+
+
+def _csv_body(path, reader, width):
+    """The rest of reader's records as floats; an error names the line its record ends on."""
+    rows = []
+    for row in reader:
+        if len(row) != width:
+            raise MalformedFile(path, reader.line_num, f"expected {width} cells, got {len(row)}")
         try:
             vals = [float(c) for c in row]
         except ValueError as exc:
-            raise MalformedFile(path, lineno, f"non-numeric cell: {exc}") from exc
-        if not all(np.isfinite(vals)):
-            raise MalformedFile(path, lineno, "non-finite value")
-        if ridx is None:
-            data.append(vals)
-        else:
-            resp.append(vals[ridx])
-            data.append([v for i, v in enumerate(vals) if i != ridx])
-    matrix = np.asarray(data, float).reshape(len(data), len(names))
-    responses = np.asarray(resp, float) if ridx is not None else None
-    return matrix, names, responses
+            raise MalformedFile(path, reader.line_num, f"non-numeric cell: {exc}") from exc
+        if not np.isfinite(vals).all():
+            raise MalformedFile(path, reader.line_num, "non-finite value")
+        rows.append(vals)
+    return np.asarray(rows, float).reshape(len(rows), width)
 
 
 def _undecodable_line(path, encoding):
@@ -137,13 +113,22 @@ def _undecodable_line(path, encoding):
 
 
 def write_table(path, matrix, names, responses=None, response_col="response"):
+    """Write a table read_table reads back bit for bit; ShapeMismatch, before any
+    file is opened, for a table it would reject."""
     matrix = np.asarray(matrix, float)
     header = list(names)
+    if matrix.ndim != 2 or matrix.shape[1] != len(header):
+        raise ShapeMismatch(f"matrix of shape {matrix.shape} for {len(header)} column names")
     if responses is not None:
+        responses = np.asarray(responses, float)
+        if responses.shape != (len(matrix),):
+            raise ShapeMismatch(f"responses of shape {responses.shape} for {len(matrix)} rows")
         header.append(response_col)
-        matrix = np.column_stack([matrix, np.asarray(responses, float)])
-    if len(set(header)) != len(header):         # read_table rejects such a file
+        matrix = np.column_stack([matrix, responses])
+    if len(set(header)) != len(header):
         raise ShapeMismatch("duplicate column names")
+    if not np.isfinite(matrix).all():
+        raise ShapeMismatch("non-finite cell")
     with writing(path) as fh:
         csv.writer(fh).writerow(header)      # names may need quoting; numbers never do
         # one row at a time: tolist() of the whole matrix would hold every cell as a float object
@@ -151,12 +136,18 @@ def write_table(path, matrix, names, responses=None, response_col="response"):
             fh.write(",".join(map(repr, row.tolist())) + "\r\n")
 
 
-def write_predictions(path, means, variance):
+def write_rows(path, header, rows):
+    """A small table through csv.writer; a Python float is written as its repr."""
     with writing(path) as fh:
         writer = csv.writer(fh)
-        writer.writerow(["row", "mean", "variance"])
-        for i, mu in enumerate(means):
-            writer.writerow([i, repr(float(mu)), repr(float(variance))])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_predictions(path, means, variance):
+    variance = float(variance)
+    write_rows(path, ["row", "mean", "variance"],
+               ((i, mu, variance) for i, mu in enumerate(np.asarray(means, float).tolist())))
 
 
 @contextmanager

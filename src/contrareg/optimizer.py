@@ -272,11 +272,16 @@ def fit(data: Dataset, config: FitConfig) -> FitResult:
     """Maximum-likelihood estimate over config.restarts + 1 seeded starts.
 
     The best start by final log-likelihood wins.  pca_warm_start has one
-    start whatever config.restarts says, so it runs a single solve.
+    start whatever config.restarts says, so it runs a single solve.  A
+    constant response raises DegenerateData: beta = 0 fits it exactly, and
+    the likelihood grows without bound as tau2 -> 0.  The test is exact:
+    every r equals r[0], so one foreground row is constant too.
     """
     t0 = time.perf_counter()
     if data.n == 0:
         raise DegenerateData("cannot fit with zero foreground samples")
+    if np.all(data.r == data.r[0]):
+        raise DegenerateData("constant response: the likelihood is unbounded as tau2 -> 0")
 
     X, Y, r = data.X, data.Y, data.r
     # with alpha=0 the background must not influence the fit, centering included

@@ -3,6 +3,7 @@
 import csv
 import json
 import multiprocessing
+import os
 import subprocess
 import sys
 
@@ -15,6 +16,11 @@ from contrareg import (Dataset, DegenerateData, FitConfig, GenConfig, LinesConfi
 from contrareg import io
 from contrareg.cli import main
 from contrareg.io import load_model, read_table, write_table
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# a child interpreter finds the package in the source tree, installed or not
+SRC_ENV = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
 
 
 def run_cli(*argv):
@@ -120,6 +126,15 @@ class TestFitCommand:
                        "--response-col", "response", "-d", "1",
                        "--out", str(tmp_path / "m.json")) == 4
         capsys.readouterr()
+
+    def test_constant_response_exit_4_without_model(self, dataset_files, tmp_path, capsys):
+        _, bg, data, names = dataset_files
+        fg = tmp_path / "const.csv"
+        write_table(fg, data.X[:4], names, responses=np.ones(4))
+        out = tmp_path / "const.json"
+        assert run_cli(*fit_flags(fg, bg, out)) == 4
+        assert "constant response" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPredictCommand:
@@ -505,7 +520,7 @@ class TestConsoleScript:
             [sys.executable, "-c",
              "import sys; from contrareg.cli import main; sys.exit(main())",
              ],
-            input="", capture_output=True, text=True)
+            input="", capture_output=True, text=True, env=SRC_ENV)
         # argparse exits 2 on missing subcommand; the harness only checks
         # that the module entry point is importable and runs
         assert proc.returncode == 2
@@ -515,5 +530,5 @@ class TestConsoleScript:
             [sys.executable, "-c",
              "import sys; from contrareg.cli import main; "
              "sys.exit(main(['gradcheck', '--trials', '3']))"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=SRC_ENV)
         assert proc.returncode == 0, proc.stderr

@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
+import contrareg.io
 from contrareg import MalformedFile, ShapeMismatch
-from contrareg.io import (_read_fast, _read_rows, load_model, model_to_dict, read_table,
-                          save_model, write_predictions, write_table)
+from contrareg.io import (load_model, model_to_dict, read_table, save_model,
+                          write_predictions, write_table)
 
 from conftest import random_params
 
@@ -43,12 +44,15 @@ class TestTables:
         assert np.array_equal(matrix, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_ragged_row_names_file_and_line(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("x,y\n1,2\n3\n")
-        with pytest.raises(MalformedFile) as exc:
-            read_table(path)
-        assert str(path) in str(exc.value)
-        assert exc.value.line == 3
+        for text, line in (("x,y\n1,2\n3\n", 3),
+                           ('"x\ny",z\r\n1,2\r\n3\r\n', 4),   # a header name spans lines 1-2
+                           ('x,y\r\n"1\n",2\r\n3\r\n', 4)):   # a body cell spans lines 2-3
+            path = tmp_path / "bad.csv"
+            path.write_bytes(text.encode())
+            with pytest.raises(MalformedFile) as exc:
+                read_table(path)
+            assert str(path) in str(exc.value)
+            assert exc.value.line == line, text
 
     def test_non_numeric_cell(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -102,6 +106,18 @@ class TestTables:
         path = tmp_path / "t.csv"
         with pytest.raises(ShapeMismatch, match="duplicate"):
             write_table(path, np.ones((2, 2)), names, responses=responses)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("matrix, names, responses, message", [
+        (np.ones((3, 3)), ["a", "b"], None, "for 2 column names"),
+        (np.ones((2, 2)), ["a", "b"], [1.0, 2.0, 3.0], "for 2 rows"),
+        ([[1.0, np.nan], [2.0, 3.0]], ["a", "b"], None, "non-finite"),
+    ], ids=["more_cells_than_names", "responses_length", "nan_cell"])
+    def test_write_refuses_what_read_table_rejects(self, tmp_path, matrix, names, responses,
+                                                   message):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ShapeMismatch, match=message):
+            write_table(path, matrix, names, responses=responses)
         assert not path.exists()
 
     def test_missing_response_column(self, tmp_path):
@@ -191,13 +207,27 @@ MUTATIONS = ["clean", "lf_only", "cr_only", "no_final_newline", "one_row", "head
              "stray_cr_header", "stray_cr_body"]
 
 
+@pytest.fixture
+def numpy_parsed(monkeypatch):
+    """Spy on io._numpy_body: the list of whether each call parsed the body."""
+    numpy_body, parsed = contrareg.io._numpy_body, []
+
+    def spy(body, width):
+        cells = numpy_body(body, width)
+        parsed.append(cells is not None)
+        return cells
+
+    monkeypatch.setattr(contrareg.io, "_numpy_body", spy)
+    return parsed
+
+
 class TestReadPaths:
-    """read_table against the per-line parser called directly: same bits or same error."""
+    """read_table against itself with numpy's body parser off: same bits or same error."""
 
     @staticmethod
-    def _outcome(read):
+    def _outcome(path, response_col):
         try:
-            matrix, names, responses = read()
+            matrix, names, responses = read_table(path, response_col=response_col)
         except MalformedFile as exc:
             return "error", exc.line, str(exc)
         return ("table", matrix.shape, matrix.tobytes(), names,
@@ -205,7 +235,9 @@ class TestReadPaths:
 
     @pytest.mark.parametrize("response_col", [None, "c0"])
     @pytest.mark.parametrize("kind", MUTATIONS)
-    def test_same_result_as_per_line_parser(self, tmp_path, kind, response_col):
+    def test_same_result_as_per_line_parser(self, tmp_path, monkeypatch, numpy_parsed, kind,
+                                            response_col):
+        spy = contrareg.io._numpy_body
         for seed in range(5):
             rng = np.random.default_rng(seed)
             n_cols, n_rows = int(rng.integers(1, 5)), int(rng.integers(2, 6))
@@ -218,20 +250,24 @@ class TestReadPaths:
             text = eol.join(lines) + ("" if kind == "no_final_newline" else eol)
             path = tmp_path / f"{seed}.csv"
             path.write_bytes(text.encode())
-            got = self._outcome(lambda: read_table(path, response_col=response_col))
-            want = self._outcome(lambda: _read_rows(path, response_col))
+            numpy_parsed.clear()
+            monkeypatch.setattr(contrareg.io, "_numpy_body", spy)
+            got = self._outcome(path, response_col)
+            monkeypatch.setattr(contrareg.io, "_numpy_body", lambda body, width: None)
+            want = self._outcome(path, response_col)
             assert got == want
             if kind in ("clean", "lf_only", "no_final_newline", "one_row"):
                 assert got[0] == "table"
-                assert _read_fast(path, response_col) is not None
+                assert numpy_parsed == [True]
 
-    def test_quoted_header_names(self, tmp_path):
+    def test_quoted_header_names(self, tmp_path, numpy_parsed):
         # the header may need csv's quoting, and a quoted name may span lines
         for header, first in (('"a,b",c', "a,b"), ('"a\nb",c', "a\nb")):
             path = tmp_path / "t.csv"
             path.write_bytes(f"{header}\r\n1.5,2\r\n".encode())
-            assert _read_fast(path, None) is not None
+            numpy_parsed.clear()
             matrix, names, _ = read_table(path)
+            assert numpy_parsed == [True]
             assert names == [first, "c"]
             assert matrix.tobytes() == np.array([[1.5, 2.0]]).tobytes()
 

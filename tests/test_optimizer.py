@@ -88,6 +88,17 @@ class TestInitialize:
         with pytest.raises(DegenerateData):
             initialize(data, FitConfig(d=1, init=init, alpha=0.0))
 
+    # beta = 0 fits a constant response exactly, so ll grows without bound as tau2 -> 0;
+    # fit rejects it, while initialize accepts it (test_zero_response_floors_tau2)
+    @pytest.mark.parametrize("init", ["random_normal", "pca_warm_start"])
+    @pytest.mark.parametrize("r", [np.ones(30), 0.1 * np.ones(30), np.ones(1)],
+                             ids=["ones", "tenths", "one_row"])
+    def test_constant_response_rejected_by_fit(self, rng, r, init):
+        data = Dataset(X=rng.standard_normal((len(r), 3)), r=r,
+                       Y=rng.standard_normal((20, 3)))
+        with pytest.raises(DegenerateData, match="constant response"):
+            fit(data, FitConfig(d=1, init=init))
+
     def test_d_larger_than_p_rejected(self, rng):
         data, _ = generate(GenConfig(n=10, m=10, p=3, d=1, seed=0))
         with pytest.raises(ShapeMismatch):
