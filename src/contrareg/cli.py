@@ -9,7 +9,7 @@ import argparse
 import json
 import os
 import sys
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import fields
 
 import numpy as np
@@ -148,15 +148,11 @@ def cmd_simulate(args):
     # every output goes to a temporary sibling, and all are renamed into place only once
     # all are complete: a failed run leaves none of them, and no partial file
     staged = [f"{path}.{os.getpid()}.part" for path in outputs]
-    # imported here: at module level it would add ~10 ms to every command's start-up
-    from concurrent.futures import ProcessPoolExecutor
     try:
-        # a worker writes the background table while this process writes the foreground
-        with ProcessPoolExecutor(1) as pool:
-            background = pool.submit(_write_table, staged[1], data.Y, names)
+        # a child process writes the background table while this process writes the foreground
+        with _writer_process(staged[1], data.Y, names):
             io.write_table(staged[0], data.X, names,
                            responses=data.r, response_col=args.response_col)
-            background.result()
         if truth is not None:
             meta = {"seed": config.seed, "iterations": 0, "final_ll": None, "converged": True}
             doc = io.model_to_dict(truth, np.zeros(data.p), 0.0, 1.0, meta,
@@ -179,10 +175,53 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def _write_table(path, matrix, names):
-    """io.write_table, looked up when called: the worker receives this function by name,
-    and a wrapper put in io.write_table's place need not be picklable."""
-    io.write_table(path, matrix, names)
+@contextmanager
+def _writer_process(path, matrix, names):
+    """io.write_table(path, matrix, names) in a child process while the block runs.
+
+    The child is forked where the platform can fork, so it inherits the
+    matrix instead of receiving a pickled copy; the default method elsewhere
+    (spawn, or forkserver from Python 3.14 on) would pickle it.  Forking is
+    safe here because the child only formats floats and writes a file: it
+    calls no BLAS routine and takes no lock that a BLAS thread holds.  The child
+    reports None or its exception over a one-way pipe, and that exception is
+    raised here.  A child that dies without reporting is a MalformedFile.  The
+    child is stopped if the block raises, and joined on every path.
+    """
+    import multiprocessing      # here: at module level it would slow every command's start-up
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    context = multiprocessing.get_context(method)
+    receiver, sender = context.Pipe(duplex=False)
+    child = context.Process(target=_write_table, args=(sender, path, matrix, names))
+    child.start()
+    sender.close()          # so that the child's end, once closed, gives EOF here
+    error = None
+    try:
+        yield
+        with suppress(EOFError):
+            error = receiver.recv()
+    except BaseException:
+        child.terminate()
+        raise
+    finally:
+        child.join()
+        receiver.close()
+    if error is None and child.exitcode != 0:
+        error = MalformedFile(path, 0, f"writer process exited with code {child.exitcode}")
+    if error is not None:
+        raise error
+
+
+def _write_table(sender, path, matrix, names):
+    """The writer process: io.write_table, looked up when called, then its outcome to sender."""
+    try:
+        io.write_table(path, matrix, names)
+    except Exception as exc:
+        sender.send(exc)
+    else:
+        sender.send(None)
+    finally:
+        sender.close()
 
 
 def cmd_gradcheck(args):

@@ -5,7 +5,7 @@ reading back, and writing again yields byte-identical files.
 
 A table is read in one pass: csv parses its header, and numpy's C parser
 reads the body where csv would only split each line at its commas (no
-quote, blank line or line over the field size limit).  A body numpy
+quote, blank line or cell over the field size limit).  A body numpy
 rejects, or reads with another shape or a non-finite cell, is read record
 by record by the same csv reader and float(), which name the line of each
 error.  Both give the same array bits.  A file that cannot be opened, read
@@ -68,13 +68,14 @@ def _numpy_body(body, width):
     """The body read by numpy's parser, or None where csv must read it.
 
     Used only where csv would split each line at its commas and nothing
-    else: no quote, blank line or line over the field size limit.  numpy
+    else: no quote, blank line or cell over the field size limit.  numpy
     then converts each cell with the routine float() uses; a body it
     rejects, or reads with another shape or a non-finite cell, is left to
     csv, the one source of error messages.
     """
     limit = csv.field_size_limit()
-    if not body or any('"' in line or not line.strip() or len(line) > limit for line in body):
+    if not body or any('"' in line or not line.strip() or _over_limit(line, limit)
+                       for line in body):
         return None
     try:
         cells = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
@@ -83,6 +84,11 @@ def _numpy_body(body, width):
     if cells.shape != (len(body), width) or not np.isfinite(cells).all():
         return None
     return cells
+
+
+def _over_limit(line, limit):
+    """Whether a cell of line may be over csv's limit, which holds per cell, not per line."""
+    return len(line) > limit and any(len(cell) > limit for cell in line.split(","))
 
 
 def _csv_body(path, reader, width):
@@ -119,21 +125,23 @@ def write_table(path, matrix, names, responses=None, response_col="response"):
     header = list(names)
     if matrix.ndim != 2 or matrix.shape[1] != len(header):
         raise ShapeMismatch(f"matrix of shape {matrix.shape} for {len(header)} column names")
+    ends = ["\r\n"] * len(matrix)
     if responses is not None:
         responses = np.asarray(responses, float)
         if responses.shape != (len(matrix),):
             raise ShapeMismatch(f"responses of shape {responses.shape} for {len(matrix)} rows")
         header.append(response_col)
-        matrix = np.column_stack([matrix, responses])
+        ends = [f",{cell!r}\r\n" for cell in responses.tolist()]
     if len(set(header)) != len(header):
         raise ShapeMismatch("duplicate column names")
-    if not np.isfinite(matrix).all():
+    if not (np.isfinite(matrix).all() and (responses is None or np.isfinite(responses).all())):
         raise ShapeMismatch("non-finite cell")
     with writing(path) as fh:
         csv.writer(fh).writerow(header)      # names may need quoting; numbers never do
-        # one row at a time: tolist() of the whole matrix would hold every cell as a float object
-        for row in matrix:
-            fh.write(",".join(map(repr, row.tolist())) + "\r\n")
+        # one row at a time: tolist() of the whole matrix would hold every cell as a float
+        # object, and stacking the responses onto it would copy it
+        for row, end in zip(matrix, ends):
+            fh.write(",".join(map(repr, row.tolist())) + end)
 
 
 def write_rows(path, header, rows):

@@ -39,6 +39,7 @@ import numpy as np
 from .errors import FactorizationError, RankDeficiencyError, ShapeMismatch
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+_ROW_BLOCK = 256     # rows per block where a pass over a data matrix would copy it whole
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +453,11 @@ def predict_rows(params: ModelParams, X, center_x, center_r):
     if X.ndim != 2 or X.shape[1] != params.p:
         raise ShapeMismatch(f"X must have p={params.p} columns, got shape {X.shape}")
     ws = build_workspace(params)
-    return (X - center_x) @ ws.pred_coef + center_r, ws.pred_var
+    means = np.empty(len(X))
+    for start in range(0, len(X), _ROW_BLOCK):      # no centred copy of X
+        stop = start + _ROW_BLOCK
+        np.matmul(X[start:stop] - center_x, ws.pred_coef, out=means[start:stop])
+    return means + center_r, ws.pred_var
 
 
 def latent_posterior(params: ModelParams, x) -> LatentPosterior:

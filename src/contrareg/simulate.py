@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstantTruth, ShapeMismatch
-from .model import Dataset, ModelParams, _integral, _integral_fields
+from .model import Dataset, ModelParams, _ROW_BLOCK, _integral, _integral_fields
 
 
 @dataclass(frozen=True)
@@ -144,6 +144,17 @@ def _smooth_patterns(rank, side, rng):
     return patterns.reshape(rank, side * side)
 
 
+def _add_noise(images, sd, rng):
+    """images += sd * N(0, 1) draws, one block of rows at a time: the generator draws the
+    same stream in blocks, so the bits are those of one full-size draw, without its copies."""
+    buffer = np.empty((min(len(images), _ROW_BLOCK), images.shape[1]))
+    for start in range(0, len(images), _ROW_BLOCK):
+        rows = images[start:start + _ROW_BLOCK]
+        noise = rng.standard_normal(out=buffer[:len(rows)])
+        noise *= sd
+        rows += noise
+
+
 def generate_lines(config: LinesConfig) -> Dataset:
     """Corrupted-lines analog: shared textures, foreground vertical line of height r."""
     rng = np.random.default_rng(config.seed)
@@ -154,10 +165,10 @@ def generate_lines(config: LinesConfig) -> Dataset:
     heights = rng.integers(1, side + 1, size=config.n_fg)
     # vertical line of fixed unit intensity, rows 0..h-1 of line_column
     fg[:, config.line_column::side] += np.arange(side) < heights[:, None]
-    fg += config.noise_sd * rng.standard_normal((config.n_fg, p))
+    _add_noise(fg, config.noise_sd, rng)
 
     bg = rng.standard_normal((config.n_bg, config.background_rank)) @ patterns
-    bg += config.noise_sd * rng.standard_normal((config.n_bg, p))
+    _add_noise(bg, config.noise_sd, rng)
 
     names = [f"px_{i // side}_{i % side}" for i in range(p)]
     return Dataset(X=fg, r=heights.astype(float), Y=bg, feature_names=names)

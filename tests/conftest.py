@@ -4,6 +4,8 @@ The oracles deliberately use explicit inverses and brute-force Gaussian
 densities so they share no code path with the library implementation.
 """
 
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -210,6 +212,17 @@ def mp_reference(params, data, alpha=1.0, dps=60, step="1e-20"):
 def random_orthogonal(rng, d):
     Qm, Rm = np.linalg.qr(rng.standard_normal((d, d)))
     return Qm * np.sign(np.diag(Rm))
+
+
+def traced_peak(call):
+    """(call(), the peak bytes tracemalloc saw allocated while it ran)."""
+    tracemalloc.start()
+    try:
+        out = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 def assert_rel_close(a, b, rtol, atol=0.0):

@@ -1,11 +1,13 @@
 """End-to-end CLI: subcommands, exit codes, determinism, library agreement."""
 
 import csv
+import hashlib
 import json
 import multiprocessing
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from contrareg import (Dataset, DegenerateData, FitConfig, GenConfig, LinesConfi
 from contrareg import io
 from contrareg.cli import main
 from contrareg.io import load_model, read_table, write_table
+
+from conftest import traced_peak
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -353,11 +357,81 @@ class TestSimulateCommand:
         # neither table of this run and no partial file; a table already there is unchanged
         assert {p.name: p.is_dir() or p.read_bytes() for p in tmp_path.iterdir()} == before
 
-    def test_invalid_sizes_exit_2(self, tmp_path, capsys):
+    def test_missing_p_or_d_exit_3(self, tmp_path, capsys):
         code = run_cli("simulate", "--n", "5", "--m", "5",
                        "--out-prefix", str(tmp_path / "s"))
+        assert code == 3
+        assert "--p" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_lines_bytes_pinned(self, tmp_path, capsys):
+        # 500 rows span several row blocks of the noise draw; sha256 of each table
+        prefix = tmp_path / "sim"
+        assert run_cli("simulate", "--lines", "--n", "500", "--m", "500", "--seed", "3",
+                       "--out-prefix", str(prefix)) == 0
         capsys.readouterr()
-        assert code in (2, 3)
+        digests = [hashlib.sha256((tmp_path / f"sim_{part}.csv").read_bytes()).hexdigest()
+                   for part in ("foreground", "background")]
+        assert digests == [
+            "dfbacbcb40d76d055061f7f5a0ab4600f9cc72d45dd9803ae5d90de50aaa8927",
+            "25d4a67b92a9f3be21cafba0138483889bd865a2629eaeb8daca8fd9cc217927"]
+
+    def test_peak_allocation_near_one_copy_of_the_data(self, tmp_path, capsys):
+        # the writer process inherits the background matrix; nothing pickles or copies it
+        code, peak = traced_peak(lambda: run_cli(
+            "simulate", "--lines", "--n", "500", "--m", "500",
+            "--out-prefix", str(tmp_path / "sim")))
+        assert code == 0
+        assert multiprocessing.active_children() == []
+        data_bytes = 2 * 500 * 28 * 28 * 8         # X and Y
+        assert peak <= 1.35 * data_bytes
+
+    @staticmethod
+    def _fail_background(monkeypatch, background, foreground=None):
+        """io.write_table with each table's write replaced, where one is given."""
+        write = io.write_table
+
+        def patched(path, *args, **kwargs):
+            replace = background if "_background.csv" in str(path) else foreground
+            return (replace or write)(path, *args, **kwargs)
+
+        monkeypatch.setattr(io, "write_table", patched)
+
+    def test_writer_exception_raised_without_outputs(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("writer broke")
+
+        self._fail_background(monkeypatch, broken)
+        with pytest.raises(RuntimeError, match="writer broke"):
+            run_cli("simulate", "--lines", "--n", "5", "--m", "5", "--image-side", "4",
+                    "--out-prefix", str(tmp_path / "sim"))
+        assert multiprocessing.active_children() == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_writer_death_exit_2_without_outputs(self, tmp_path, capsys, monkeypatch):
+        # the writer exits without reporting: the pipe reaches EOF, its exit code is 1
+        self._fail_background(monkeypatch, lambda *args, **kwargs: os._exit(1))
+        assert run_cli("simulate", "--lines", "--n", "5", "--m", "5", "--image-side", "4",
+                       "--out-prefix", str(tmp_path / "sim")) == 2
+        assert multiprocessing.active_children() == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'sim'}_background.csv:0: ")
+        assert "code 1" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_foreground_failure_stops_the_writer(self, tmp_path, capsys, monkeypatch):
+        # the writer is stopped, not waited for, when this process fails first
+        def fail(path, *args, **kwargs):
+            raise MalformedFile(path, 0, "No space left on device")
+
+        self._fail_background(monkeypatch, lambda *args, **kwargs: time.sleep(60), fail)
+        start = time.perf_counter()
+        assert run_cli("simulate", "--lines", "--n", "5", "--m", "5", "--image-side", "4",
+                       "--out-prefix", str(tmp_path / "sim")) == 2
+        assert time.perf_counter() - start < 30
+        assert multiprocessing.active_children() == []
+        assert "_foreground.csv:0: " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestGradcheckCommand:

@@ -1,5 +1,6 @@
 """CSV table and JSON model file formats."""
 
+import csv
 import json
 
 import numpy as np
@@ -10,7 +11,7 @@ from contrareg import MalformedFile, ShapeMismatch
 from contrareg.io import (load_model, model_to_dict, read_table, save_model,
                           write_predictions, write_table)
 
-from conftest import random_params
+from conftest import random_params, traced_peak
 
 
 class TestTables:
@@ -34,6 +35,14 @@ class TestTables:
                     responses=[7.0, 0.30000000000000004], response_col="r")
         assert path.read_bytes() == (b'"a,b","q""x",c,r\r\n0.1,-0.0,1e-300,7.0\r\n'
                                      b'1.5e+300,3.0,-2.5,0.30000000000000004\r\n')
+
+    def test_write_with_responses_holds_no_copy_of_the_matrix(self, tmp_path, rng):
+        # the response cell is written row by row, not stacked onto a copy of the matrix
+        matrix = rng.standard_normal((500, 784))
+        _, peak = traced_peak(lambda: write_table(
+            tmp_path / "t.csv", matrix, [f"c{j}" for j in range(784)],
+            responses=rng.standard_normal(500)))
+        assert peak <= 0.25 * matrix.nbytes
 
     def test_read_without_response(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -112,7 +121,8 @@ class TestTables:
         (np.ones((3, 3)), ["a", "b"], None, "for 2 column names"),
         (np.ones((2, 2)), ["a", "b"], [1.0, 2.0, 3.0], "for 2 rows"),
         ([[1.0, np.nan], [2.0, 3.0]], ["a", "b"], None, "non-finite"),
-    ], ids=["more_cells_than_names", "responses_length", "nan_cell"])
+        (np.ones((2, 2)), ["a", "b"], [1.0, np.inf], "non-finite"),
+    ], ids=["more_cells_than_names", "responses_length", "nan_cell", "inf_response"])
     def test_write_refuses_what_read_table_rejects(self, tmp_path, matrix, names, responses,
                                                    message):
         path = tmp_path / "t.csv"
@@ -259,6 +269,21 @@ class TestReadPaths:
             if kind in ("clean", "lf_only", "no_final_newline", "one_row"):
                 assert got[0] == "table"
                 assert numpy_parsed == [True]
+
+    def test_lines_over_the_field_size_limit(self, tmp_path, monkeypatch, numpy_parsed):
+        # csv limits each field, not the line: a long line of short cells stays with numpy
+        path = tmp_path / "t.csv"
+        values = np.random.default_rng(1).standard_normal((3, 40))
+        write_table(path, values, [f"c{j}" for j in range(40)])
+        limit = csv.field_size_limit(100)
+        try:
+            got = self._outcome(path, None)
+            monkeypatch.setattr(contrareg.io, "_numpy_body", lambda body, width: None)
+            want = self._outcome(path, None)
+        finally:
+            csv.field_size_limit(limit)
+        assert numpy_parsed == [True]
+        assert got == want and got[2] == values.tobytes()
 
     def test_quoted_header_names(self, tmp_path, numpy_parsed):
         # the header may need csv's quoting, and a quoted name may span lines

@@ -10,11 +10,11 @@ from contrareg import (Dataset, FactorizationError, ModelParams,
                        contrastive_residuals, finite_diff_gradient,
                        grad_log_likelihood, latent_posterior, log_likelihood,
                        predict)
-from contrareg.model import log_likelihood_and_grad
+from contrareg.model import log_likelihood_and_grad, predict_rows
 
 from conftest import (assert_rel_close, dense_A, dense_P, dense_Q, mp_reference,
                       oracle_conditional, oracle_log_likelihood, random_dataset,
-                      random_orthogonal, random_params)
+                      random_orthogonal, random_params, traced_peak)
 
 # (n, m, p, d) shapes of the low-rank engine's edge regimes: p > n + m,
 # 2d > p (U = [S W] spans all of R^p), no foreground rows, no background rows
@@ -391,6 +391,19 @@ class TestPredict:
     def test_wrong_length_rejected(self, rng):
         with pytest.raises(ShapeMismatch):
             predict(random_params(rng, 4, 2), np.zeros(5))
+
+    def test_rows_in_blocks_hold_no_copy_of_x(self, rng):
+        # 2000 rows: several blocks of rows and a partial one, each centred on its own
+        params = random_params(rng, 784, 2)
+        X, center_x = rng.standard_normal((2000, 784)), rng.standard_normal(784)
+        (means, var), peak = traced_peak(lambda: predict_rows(params, X, center_x, 1.5))
+        assert peak <= 0.25 * X.nbytes
+        ws = build_workspace(params)
+        assert_rel_close(means, (X - center_x) @ ws.pred_coef + 1.5, 1e-12)
+        assert var == ws.pred_var
+        for i in (0, 255, 256, 1999):
+            assert_rel_close(predict_rows(params, X[i:i + 1], center_x, 1.5)[0], means[i:i + 1],
+                             1e-12)
 
 
 class TestLatentPosterior:

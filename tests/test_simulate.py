@@ -1,5 +1,7 @@
 """Simulation harness: generator, error metrics, corrupted lines, R^2."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from contrareg import (ConstantTruth, ErrorReport, GenConfig, LinesConfig,
                        generate_lines, r_squared)
 from contrareg.simulate import _periodic_blur
 
-from conftest import random_orthogonal, random_params
+from conftest import random_orthogonal, random_params, traced_peak
 
 
 class TestGenerate:
@@ -129,6 +131,20 @@ class TestGenerateLines:
         assert np.array_equal(a.X, b.X)
         assert np.array_equal(a.Y, b.Y)
         assert np.array_equal(a.r, b.r)
+
+    def test_fixed_seed_arrays_pinned(self):
+        # 500 rows span more than one block of the row-blocked noise draw
+        data = generate_lines(LinesConfig(n_fg=500, n_bg=500, seed=3))
+        digests = [hashlib.sha256(a.tobytes()).hexdigest() for a in (data.X, data.r, data.Y)]
+        assert digests == [
+            "950d759fc46a76dd0c4170635db7b811dded968d250400597c94a14a43538363",
+            "101caded646e5aee05e2898056eac360c6677aa9e782a1000e369eed9c66b5e8",
+            "4c788ec901e8073c0ec2f6cd3f4fbb5e335dd79f7f1714c2891ae4e47539dc41"]
+
+    def test_peak_allocation_near_its_outputs(self):
+        # the noise is added in row blocks, so no full-size draw or product is held
+        data, peak = traced_peak(lambda: generate_lines(LinesConfig(n_fg=500, n_bg=500)))
+        assert peak <= 1.3 * (data.X.nbytes + data.Y.nbytes + data.r.nbytes)
 
     def test_line_column_pixels_predict_height(self):
         data = generate_lines(LinesConfig(seed=0))
