@@ -18,8 +18,8 @@ from . import io
 from .errors import (ConstantTruth, DegenerateData, FactorizationError,
                      MalformedFile, NonFiniteObjective, RankDeficiencyError,
                      ShapeMismatch, TooFewSamples, ZeroBeta)
-from .model import (Dataset, ModelParams, finite_diff_gradient, grad_log_likelihood,
-                    predict_rows)
+from .model import (Dataset, GradientSet, ModelParams, finite_diff_gradient,
+                    grad_log_likelihood, predict_rows)
 from .optimizer import FitConfig, fit
 from .select import cross_validate, rank_features
 from .simulate import GenConfig, LinesConfig, generate, generate_lines
@@ -231,9 +231,11 @@ def cmd_gradcheck(args):
         raise ShapeMismatch(f"--rtol must be finite and >= 0 and --step finite and > 0, "
                             f"got {args.rtol} and {args.step}")
     rng_master = np.random.default_rng(args.seed)
-    blocks = ("S", "W", "beta", "sigma2", "tau2")
-    worst = {b: 0.0 for b in blocks}
+    blocks = [f.name for f in fields(GradientSet)]
+    worst = dict.fromkeys(blocks, 0.0)
     bad_seed = None
+    # err <= rtol iff |a-b| <= rtol*|b| + 1e-8 (abs slack near zero)
+    slack = 1e-8 / args.rtol if args.rtol > 0 else 1e-300
     for trial in range(args.trials):
         inst_seed = int(rng_master.integers(0, 2**32))
         rng = np.random.default_rng(inst_seed)
@@ -249,21 +251,16 @@ def cmd_gradcheck(args):
         alpha = float(rng.choice([0.0, 0.5, 1.0, 2.0]))
         ana = grad_log_likelihood(params, data, alpha)
         num = finite_diff_gradient(params, data, alpha, step=args.step)
-        for block, a, b in (("S", ana.dS, num.dS), ("W", ana.dW, num.dW),
-                            ("beta", ana.dbeta, num.dbeta),
-                            ("sigma2", ana.dsigma2, num.dsigma2),
-                            ("tau2", ana.dtau2, num.dtau2)):
-            a = np.atleast_1d(np.asarray(a, float))
-            b = np.atleast_1d(np.asarray(b, float))
-            # err <= rtol iff |a-b| <= rtol*|b| + 1e-8 (abs slack near zero)
-            slack = 1e-8 / args.rtol if args.rtol > 0 else 1e-300
+        for block in blocks:
+            a = np.asarray(getattr(ana, block), float)
+            b = np.asarray(getattr(num, block), float)
             rel = np.abs(a - b) / (np.abs(b) + slack)
-            err = float(np.max(rel)) if rel.size else 0.0
+            err = float(np.max(rel, initial=0.0))
             worst[block] = max(worst[block], err)
             if err > args.rtol and bad_seed is None:
                 bad_seed = inst_seed
     for block in blocks:
-        print(f"{block}: worst relative error {worst[block]:.3e}")
+        print(f"{block[1:]}: worst relative error {worst[block]:.3e}")
     if any(worst[b] > args.rtol for b in blocks):
         print(f"gradient mismatch (offending instance seed: {bad_seed})")
         return EXIT_GRADCHECK

@@ -3,13 +3,13 @@
 Floats are serialized with Python's shortest round-trip repr, so writing,
 reading back, and writing again yields byte-identical files.
 
-A table is read in one pass: csv parses its header, and numpy's C parser
-reads the body where csv would only split each line at its commas (no
-quote, blank line or cell over the field size limit).  A body numpy
-rejects, or reads with another shape or a non-finite cell, is read record
-by record by the same csv reader and float(), which name the line of each
-error.  Both give the same array bits.  A file that cannot be opened, read
-or written raises MalformedFile at line 0.
+Tables are UTF-8; a leading byte-order mark is not part of the first name.
+A table is read in one pass: csv parses its header and numpy's C parser
+the body.  A body that numpy rejects, reads with another row count or with
+a non-finite cell, or that has a cell over csv's field size limit, is read
+record by record by the same csv reader and float(), which name the line
+of each error.  Both give the same array bits.  A file that cannot be
+opened, read or written raises MalformedFile at line 0.
 """
 
 import csv
@@ -36,7 +36,7 @@ def read_table(path, response_col=None):
     declines the body; an error names the line its record ends on.
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise MalformedFile(path, 0, str(exc)) from exc
@@ -67,15 +67,13 @@ def read_table(path, response_col=None):
 def _numpy_body(body, width):
     """The body read by numpy's parser, or None where csv must read it.
 
-    Used only where csv would split each line at its commas and nothing
-    else: no quote, blank line or cell over the field size limit.  numpy
-    then converts each cell with the routine float() uses; a body it
-    rejects, or reads with another shape or a non-finite cell, is left to
-    csv, the one source of error messages.
+    numpy converts each cell with the routine float() uses.  A body it
+    rejects (any quote), reads with another row count (a blank line) or
+    with a non-finite cell, or with a cell csv would refuse as over its
+    field size limit, is left to csv, the one source of error messages.
     """
     limit = csv.field_size_limit()
-    if not body or any('"' in line or not line.strip() or _over_limit(line, limit)
-                       for line in body):
+    if not body or any(_over_limit(line, limit) for line in body):
         return None
     try:
         cells = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
@@ -159,10 +157,10 @@ def write_predictions(path, means, variance):
 
 
 @contextmanager
-def writing(path, newline=""):
-    """Open path to write text; an OSError in opening or writing is a MalformedFile."""
+def writing(path):
+    """Open path to write UTF-8 text; an OSError in opening or writing is a MalformedFile."""
     try:
-        with open(path, "w", newline=newline) as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             yield fh
     except OSError as exc:
         raise MalformedFile(path, 0, str(exc)) from exc
@@ -191,7 +189,7 @@ def model_to_dict(params, center_x, center_r, alpha, meta, feature_names=None):
 
 
 def save_model(path, doc):
-    with writing(path, newline=None) as fh:
+    with writing(path) as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 

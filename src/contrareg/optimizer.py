@@ -191,11 +191,7 @@ def _stationary(g, ll, tol, n):
     return np.max(np.abs(g)) <= tol * max(1.0, abs(ll)) / n
 
 
-def _run_line_search(fun, theta0, config, n):
-    ll, g = fun(theta0)
-    if not np.isfinite(ll):
-        raise NonFiniteObjective("objective non-finite at the starting point")
-    theta = theta0
+def _run_line_search(fun, theta, ll, g, config, n):
     trace = [ll]
     pairs = deque(maxlen=_MEMORY)
     converged = _stationary(g, ll, config.tol, n)
@@ -228,20 +224,15 @@ def _run_line_search(fun, theta0, config, n):
     return theta, g, trace, bool(converged)
 
 
-def _run_adaptive_moment(fun, theta0, config):
+def _run_adaptive_moment(fun, theta0, ll0, g0, config):
     b1, b2, eps = 0.9, 0.999, 1e-8
     lr = config.step0
-    for attempt in range(4):
-        theta = theta0.copy()
-        ll, g = fun(theta)
-        if not np.isfinite(ll):
-            raise NonFiniteObjective("objective non-finite at the starting point")
+    for _ in range(4):
+        theta, ll, g = theta0, ll0, g0
         m = np.zeros_like(theta)
         v = np.zeros_like(theta)
         trace = [ll]
         streak = 0
-        converged = False
-        blown_up = False
         for it in range(1, config.max_iter + 1):
             m = b1 * m + (1.0 - b1) * g
             v = b2 * v + (1.0 - b2) * g * g
@@ -250,16 +241,14 @@ def _run_adaptive_moment(fun, theta0, config):
             theta = theta + lr * mhat / (np.sqrt(vhat) + eps)
             ll_new, g = fun(theta)
             if not np.isfinite(ll_new):
-                blown_up = True
                 break
             streak = streak + 1 if abs(ll_new - ll) / (abs(ll) + 1.0) < config.tol else 0
             ll = ll_new
             trace.append(ll)
             if streak >= _PATIENCE:
-                converged = True
-                break
-        if not blown_up:
-            return theta, g, trace, converged
+                return theta, g, trace, True
+        else:
+            return theta, g, trace, False
         lr *= 0.1      # auto-shrink after blow-up, three retries
     raise NonFiniteObjective("objective blew up despite shrinking the step 3 times")
 
@@ -314,7 +303,10 @@ def fit(data: Dataset, config: FitConfig) -> FitResult:
     for restart in range(starts):
         sub = replace(config, seed=_restart_seed(config.seed, restart))
         theta0 = _pack(initialize(centered, sub))
-        theta, g, trace, converged = runner(fun, theta0, config)
+        ll0, g0 = fun(theta0)
+        if not np.isfinite(ll0):
+            raise NonFiniteObjective("objective non-finite at the starting point")
+        theta, g, trace, converged = runner(fun, theta0, ll0, g0, config)
         if best is None or trace[-1] > best[2][-1]:
             best = (theta, g, trace, converged, restart)
 

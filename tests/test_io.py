@@ -154,6 +154,18 @@ class TestTables:
         assert str(path) in str(exc.value)
         assert exc.value.line == 4
 
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path, numpy_parsed):
+        # spreadsheet programs save "CSV UTF-8" with a leading byte-order mark
+        path = tmp_path / "t.csv"
+        write_table(path, np.array([[1.5, -2.0], [0.25, 3.0]]), ["a", "b"],
+                    responses=[0.5, 1.0])
+        plain = read_table(path, response_col="a")
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        marked = read_table(path, response_col="a")
+        assert numpy_parsed == [True, True]
+        assert plain[1] == marked[1] == ["b", "response"]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(plain[::2], marked[::2]))
+
     def test_csv_error_names_its_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         # one cell beyond the csv module's default field size limit

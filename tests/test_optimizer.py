@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from contrareg import (Dataset, DegenerateData, FitConfig, GenConfig,
-                       LinesConfig, ShapeMismatch, build_workspace, fit,
-                       generate, generate_lines, initialize, latent_posterior,
-                       pca_linear_baseline, predict, r_squared)
+                       LinesConfig, NonFiniteObjective, ShapeMismatch,
+                       build_workspace, fit, generate, generate_lines, initialize,
+                       latent_posterior, pca_linear_baseline, predict, r_squared)
 from contrareg import optimizer
 from contrareg.model import _evaluate, _grad_vector
 
@@ -211,6 +211,27 @@ class TestFit:
         assert calls[1] > calls[0]
         assert np.isfinite(result.grad_inf_norm)
         assert np.all(np.isfinite(result.ll_trace))
+
+    def test_adaptive_moment_retries_from_the_stored_start(self, monkeypatch):
+        # the start is evaluated once; a retry after a blow-up reuses that evaluation
+        data, _ = generate(GenConfig(n=80, m=80, p=6, d=2, seed=3))
+        evaluate = optimizer._evaluate
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "_evaluate", counted)
+        config = FitConfig(d=2, mode="adaptive_moment", max_iter=200, seed=3)
+        # every step overflows exp(log sigma2) before the model is evaluated
+        with pytest.raises(NonFiniteObjective):
+            fit(data, replace(config, step0=1e6))
+        assert len(calls) == 1
+        calls.clear()
+        retried = fit(data, replace(config, step0=1e3))      # the first step blows up
+        assert len(calls) == len(retried.ll_trace) == 201
+        assert retried.ll_trace == fit(data, replace(config, step0=1e3 * 0.1)).ll_trace
 
     def test_adaptive_moment_matches_line_search_objective(self):
         data, _ = generate(GenConfig(n=100, m=100, p=3, d=1, seed=17))
