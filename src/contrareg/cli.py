@@ -30,12 +30,19 @@ EXIT_SHAPE = 3
 EXIT_OPTIM = 4
 EXIT_GRADCHECK = 5
 
-_MODE_NAMES = {"line-search": "line_search_ascent", "adam": "adaptive_moment"}
+# CLI spelling -> FitConfig value, for each flag whose spellings differ
+_SPELLINGS = {"mode": {"adam": "adaptive_moment", "line-search": "line_search_ascent"},
+              "init": {"random-normal": "random_normal", "pca-warm-start": "pca_warm_start"}}
 
 
 def _given(args, cls):
     """Flags given that name fields of cls; the others are absent, so cls's defaults hold."""
     return {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+
+
+def _add_data_flags(sub):
+    for flag in ("--foreground", "--background", "--response-col"):
+        sub.add_argument(flag, required=True)
 
 
 def _add_fit_flags(sub):
@@ -44,23 +51,21 @@ def _add_fit_flags(sub):
                      help="line search: stop at |g|_inf <= tol * max(1, |ll|) / n; "
                           "adam: stop after 3 relative changes of ll below tol")
     sub.add_argument("--max-iter", type=int, default=argparse.SUPPRESS)
-    sub.add_argument("--mode", choices=sorted(_MODE_NAMES), default=argparse.SUPPRESS)
+    sub.add_argument("--mode", choices=_SPELLINGS["mode"], default=argparse.SUPPRESS)
     sub.add_argument("--restarts", type=int, default=argparse.SUPPRESS,
                      help=f"extra seeded random starts (default {FitConfig.restarts}); "
                           "pca-warm-start is deterministic and runs once")
     sub.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     sub.add_argument("--step0", type=float, default=argparse.SUPPRESS,
                      help="learning rate of --mode adam; the line search does not read it")
-    sub.add_argument("--init", choices=["random-normal", "pca-warm-start"],
-                     default=argparse.SUPPRESS)
+    sub.add_argument("--init", choices=_SPELLINGS["init"], default=argparse.SUPPRESS)
 
 
 def _fit_config(args, d):
     given = _given(args, FitConfig) | {"d": d}
-    if "mode" in given:
-        given["mode"] = _MODE_NAMES[given["mode"]]
-    if "init" in given:
-        given["init"] = given["init"].replace("-", "_")
+    for name, spellings in _SPELLINGS.items():
+        if name in given:
+            given[name] = spellings[given[name]]
     return FitConfig(**given)
 
 
@@ -108,18 +113,12 @@ def cmd_cv(args):
         raise ShapeMismatch(f"--d-grid must be comma-separated integers: {exc}") from exc
     config = _fit_config(args, 1)      # cross_validate sets d for each grid entry
     report = cross_validate(data, d_grid, args.k, config)
-    doc = {
-        "d_grid": report.d_grid,
-        "k": report.k,
-        "best_d": report.best_d,
-        "train_r2": [[None if np.isnan(v) else float(v) for v in row]
-                     for row in report.train_r2],
-        "test_r2": [[None if np.isnan(v) else float(v) for v in row]
-                    for row in report.test_r2],
-    }
+    train, test = report.train_r2.tolist(), report.test_r2.tolist()
+    doc = {"d_grid": report.d_grid, "k": report.k, "best_d": report.best_d}
+    for name, table in (("train_r2", train), ("test_r2", test)):
+        doc[name] = [[None if np.isnan(v) else v for v in row] for row in table]
     print(json.dumps(doc))
     if args.out_csv:
-        train, test = report.train_r2.tolist(), report.test_r2.tolist()
         io.write_rows(args.out_csv, ["d", "fold", "train_r2", "test_r2"],
                       ((d, fi, train[di][fi], test[di][fi])
                        for di, d in enumerate(report.d_grid) for fi in range(report.k)))
@@ -283,9 +282,7 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_fit = subs.add_parser("fit", help="fit the model to foreground/background tables")
-    p_fit.add_argument("--foreground", required=True)
-    p_fit.add_argument("--background", required=True)
-    p_fit.add_argument("--response-col", required=True)
+    _add_data_flags(p_fit)
     p_fit.add_argument("-d", type=int, required=True)
     p_fit.add_argument("--out", required=True)
     _add_fit_flags(p_fit)
@@ -298,9 +295,7 @@ def build_parser():
     p_pred.set_defaults(func=cmd_predict)
 
     p_cv = subs.add_parser("cv", help="cross-validate the latent dimension")
-    p_cv.add_argument("--foreground", required=True)
-    p_cv.add_argument("--background", required=True)
-    p_cv.add_argument("--response-col", required=True)
+    _add_data_flags(p_cv)
     p_cv.add_argument("--d-grid", required=True, help="comma-separated, e.g. 1,2,3")
     p_cv.add_argument("--k", type=int, default=10)
     p_cv.add_argument("--out-csv", default=None,

@@ -3,12 +3,13 @@
 Floats are serialized with Python's shortest round-trip repr, so writing,
 reading back, and writing again yields byte-identical files.
 
-Tables are UTF-8; a leading byte-order mark is not part of the first name.
-A table is read in one pass: csv parses its header and numpy's C parser
-the body.  A body that numpy rejects, reads with another row count or with
-a non-finite cell, or that has a cell over csv's field size limit, is read
-record by record by the same csv reader and float(), which name the line
-of each error.  Both give the same array bits.  A file that cannot be
+Tables and model files are UTF-8, read through reading(): a leading
+byte-order mark is dropped, and an undecodable byte is a MalformedFile at
+its line.  A table is read in one pass: csv parses its header and numpy's
+C parser the body.  A body that numpy rejects, reads with another row count
+or with a non-finite cell, or that has a cell over csv's field size limit,
+is read record by record by the same csv reader and float(), which name the
+line of each error.  Both give the same array bits.  A file that cannot be
 opened, read or written raises MalformedFile at line 0.
 """
 
@@ -35,14 +36,8 @@ def read_table(path, response_col=None):
     reader parses the header, then each record where numpy's parser
     declines the body; an error names the line its record ends on.
     """
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise MalformedFile(path, 0, str(exc)) from exc
-    except UnicodeDecodeError as exc:
-        raise MalformedFile(path, _undecodable_line(path, exc.encoding),
-                            f"cannot decode as {exc.encoding}: {exc.reason}") from exc
+    with reading(path) as fh:
+        lines = fh.readlines()
     reader = csv.reader(lines)
     try:
         header = next(reader, None)
@@ -157,6 +152,20 @@ def write_predictions(path, means, variance):
 
 
 @contextmanager
+def reading(path):
+    """Open path to read UTF-8 text without its byte-order mark; an OSError in opening or
+    reading is a MalformedFile at line 0, an undecodable byte one at its line."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            yield fh
+    except OSError as exc:
+        raise MalformedFile(path, 0, str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(path, _undecodable_line(path, exc.encoding),
+                            f"cannot decode as {exc.encoding}: {exc.reason}") from exc
+
+
+@contextmanager
 def writing(path):
     """Open path to write UTF-8 text; an OSError in opening or writing is a MalformedFile."""
     try:
@@ -197,15 +206,14 @@ def save_model(path, doc):
 def load_model(path):
     """Load a model file; returns (params, center_x, center_r, alpha, names, meta).
 
-    A non-finite center_x or center_r, an alpha that is negative or not
-    finite, or feature_names that are neither null nor a list of strings,
-    is a MalformedFile; feature_names of the wrong length is a ShapeMismatch.
+    The file is opened through reading(), as a table is.  A non-finite
+    center_x or center_r, an alpha that is negative or not finite, or
+    feature_names that are neither null nor a list of strings, is a
+    MalformedFile; feature_names of the wrong length is a ShapeMismatch.
     """
     try:
-        with open(path) as fh:
+        with reading(path) as fh:
             doc = json.load(fh)
-    except OSError as exc:
-        raise MalformedFile(path, 0, str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise MalformedFile(path, exc.lineno, exc.msg) from exc
     try:

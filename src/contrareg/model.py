@@ -23,7 +23,9 @@ and one low-rank Gaussian routine computes both Gaussian terms and their
 gradients.  It reads each data matrix Z once through |Z|^2 and one product
 Z'(Z B) with the thin p x k block B = V of its factor, as PPCA's likelihood
 reads the sample covariance (Tipping & Bishop 1999): B = V_Q for the
-foreground and B = V_P for the background.  The r | x term is written once,
+foreground and B = V_P for the background.  Q is factored for every use
+(build_workspace), P only where the background term is weighted in
+(_evaluate with alpha > 0).  The r | x term is written once,
 in _evaluate, from the residual e = r - X v and X'e.  An evaluation costs
 O((n + m) p d) time and O((n + m) d + p d) memory beyond the data; neither a
 p x p nor an n x p matrix is formed.  The one exception is a Gaussian whose
@@ -62,6 +64,16 @@ def _integral_fields(config, names):
         object.__setattr__(config, name, _integral(getattr(config, name), name))
 
 
+def _finite_arrays(obj, names):
+    """Store each named field of a frozen dataclass as a float64 array, without a copy
+    when it already is one; ShapeMismatch if an entry is not finite."""
+    for name in names:
+        a = np.asarray(getattr(obj, name), float)
+        if not np.isfinite(a).all():
+            raise ShapeMismatch(f"{name} contains non-finite entries")
+        object.__setattr__(obj, name, a)
+
+
 @dataclass(frozen=True, eq=False)
 class ModelParams:
     """Full parameter bundle (S, W, beta, sigma2, tau2).
@@ -90,8 +102,7 @@ class ModelParams:
         return self.S.shape[1]
 
     def __post_init__(self):
-        for name in ("S", "W", "beta"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), float))
+        _finite_arrays(self, ("S", "W", "beta"))
         for name in ("sigma2", "tau2"):
             object.__setattr__(self, name, float(getattr(self, name)))
         S, W, beta = self.S, self.W, self.beta
@@ -102,9 +113,6 @@ class ModelParams:
             raise ShapeMismatch(f"latent dimension d={d} must be in [1, p={p}]")
         if beta.shape != (d,):
             raise ShapeMismatch(f"beta must have length d={d}, got shape {beta.shape}")
-        for name, a in (("S", S), ("W", W), ("beta", beta)):
-            if not np.all(np.isfinite(a)):
-                raise ShapeMismatch(f"{name} contains non-finite entries")
         if not (0.0 <= self.sigma2 < np.inf and 0.0 <= self.tau2 < np.inf):
             raise ShapeMismatch(
                 f"sigma2 and tau2 must be finite and nonnegative, got {self.sigma2}, {self.tau2}")
@@ -140,8 +148,7 @@ class Dataset:
         return self.X.shape[1]
 
     def __post_init__(self):
-        for name in ("X", "r", "Y"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), float))
+        _finite_arrays(self, ("X", "r", "Y"))
         X, r, Y = self.X, self.r, self.Y
         if X.ndim != 2 or Y.ndim != 2:
             raise ShapeMismatch("X and Y must be 2-d arrays")
@@ -149,33 +156,27 @@ class Dataset:
             raise ShapeMismatch(f"X has {X.shape[1]} columns but Y has {Y.shape[1]}")
         if r.shape != (X.shape[0],):
             raise ShapeMismatch(f"r must have length n={X.shape[0]}, got shape {r.shape}")
-        for name, a in (("X", X), ("r", r), ("Y", Y)):
-            if not np.all(np.isfinite(a)):
-                raise ShapeMismatch(f"{name} contains non-finite entries")
         if self.feature_names is not None and len(self.feature_names) != X.shape[1]:
             raise ShapeMismatch("feature_names length does not match column count")
 
 
 @dataclass(frozen=True, eq=False)
 class Workspace:
-    """Small factors of P and Q for one parameter value.
+    """Small factor of Q for one parameter value.
 
-    The P fields are _factor's output for S and the Q fields for U = [S W],
-    so P^-1 = (I - V_P V_P') / sigma2 and Q^-1 U = V_Q L_Q^-1 with
-    L_Q L_Q' = sigma2 I_2d + U'U.  A = (W' P^-1 W + I)^-1 = sigma2 [L_Q^-T L_Q^-1]
+    The Q fields are _factor's output for U = [S W], so Q^-1 U = V_Q L_Q^-1
+    with L_Q L_Q' = sigma2 I_2d + U'U.  A = (W' P^-1 W + I)^-1 = sigma2 [L_Q^-T L_Q^-1]
     restricted to the W block, and P^-1 W A beta = Q^-1 W beta.  pred_coef
     is that vector v, with predictive mean v' x; pred_var is the
     (x-independent) predictive variance tau2 + beta' A beta.  Building one
-    costs O(p d^2 + d^3).
+    costs O(p d^2 + d^3).  P's own factor is read only by the background
+    term, so _evaluate computes it there.
     """
 
     U: np.ndarray          # p x 2d, [S W]
-    Li_P: np.ndarray       # d x d, L_P^-1
     Li_Q: np.ndarray       # 2d x 2d, L_Q^-1
-    V_P: np.ndarray        # p x d, S L_P^-T
     V_Q: np.ndarray        # p x 2d, U L_Q^-T
     A: np.ndarray
-    logdet_P: float
     logdet_Q: float
     pred_var: float
     pred_coef: np.ndarray
@@ -260,7 +261,7 @@ def _factor(U, s2, label):
 
 
 def build_workspace(params: ModelParams) -> Workspace:
-    """Small factors of P and Q, A and the prediction cache for a parameter value."""
+    """Small factor of Q, A and the prediction cache for a parameter value."""
     # construction allows zero variances (a noiseless truth); the likelihood divides by them
     if not (params.sigma2 > 0.0 and params.tau2 > 0.0):
         raise ShapeMismatch(f"sigma2 and tau2 must be positive, got {params.sigma2}, {params.tau2}")
@@ -268,15 +269,13 @@ def build_workspace(params: ModelParams) -> Workspace:
     d = S.shape[1]
     s2 = np.float64(params.sigma2)
     U = np.hstack([S, W])
-    V_P, Li_P, logdet_P = _factor(S, s2, "sigma2 I + S'S")
     V_Q, Li_Q, logdet_Q = _factor(U, s2, "sigma2 I + U'U")
 
     Li_W = Li_Q[:, d:]                         # L_Q^-1 restricted to the W block
     A = s2 * (Li_W.T @ Li_W)
     pred_var = params.tau2 + float(beta @ (A @ beta))
     pred_coef = V_Q @ (Li_W @ beta)
-    return Workspace(U=U, Li_P=Li_P, Li_Q=Li_Q, V_P=V_P, V_Q=V_Q, A=A,
-                     logdet_P=logdet_P, logdet_Q=logdet_Q,
+    return Workspace(U=U, Li_Q=Li_Q, V_Q=V_Q, A=A, logdet_Q=logdet_Q,
                      pred_var=pred_var, pred_coef=pred_coef)
 
 
@@ -348,7 +347,7 @@ def _evaluate(params, data, alpha, want_grad):
         E2 = e @ e
         ll += -0.5 * (n * (np.log(s) + LOG_2PI) + E2 / s)
         if use_bg:
-            ll_y, gy = _gaussian(data.Y, ws.V_P, ws.Li_P, ws.logdet_P, s2, want_grad)
+            ll_y, gy = _gaussian(data.Y, *_factor(params.S, s2, "sigma2 I + S'S"), s2, want_grad)
             ll += alpha * ll_y
         if not np.isfinite(ll):
             ll = -np.inf
@@ -440,6 +439,13 @@ def _row(x, p):
     return x
 
 
+def _rows(X, p):
+    X = np.asarray(X, float)
+    if X.ndim != 2 or X.shape[1] != p:
+        raise ShapeMismatch(f"X must have p={p} columns, got shape {X.shape}")
+    return X
+
+
 def predict(params: ModelParams, x_star) -> PredictiveDist:
     """Predictive law of r given a new foreground observation x."""
     x = _row(x_star, params.p)
@@ -449,9 +455,7 @@ def predict(params: ModelParams, x_star) -> PredictiveDist:
 
 def predict_rows(params: ModelParams, X, center_x, center_r):
     """Predictive means and (constant) variance for rows of X, re-applying the fit's centering."""
-    X = np.asarray(X, float)
-    if X.ndim != 2 or X.shape[1] != params.p:
-        raise ShapeMismatch(f"X must have p={params.p} columns, got shape {X.shape}")
+    X = _rows(X, params.p)
     ws = build_workspace(params)
     means = np.empty(len(X))
     for start in range(0, len(X), _ROW_BLOCK):      # no centred copy of X
@@ -477,11 +481,8 @@ def contrastive_residuals(params: ModelParams, X):
     so it stays accurate when S is ill-conditioned.  Raises
     RankDeficiencyError when s_min^2 <= 1e-12 s_max^2; there is no fallback.
     """
-    S = params.S
-    X = np.asarray(X, float)
-    if X.ndim != 2 or X.shape[1] != S.shape[0]:
-        raise ShapeMismatch(f"X must have p={S.shape[0]} columns, got shape {X.shape}")
-    U, svals, _ = np.linalg.svd(S, full_matrices=False)      # d >= 1 values
+    X = _rows(X, params.p)
+    U, svals, _ = np.linalg.svd(params.S, full_matrices=False)      # d >= 1 values
     if svals[-1] ** 2 <= 1e-12 * svals[0] ** 2:
         raise RankDeficiencyError(f"S'S is singular beyond tolerance (singular values {svals})")
     return X - (X @ U) @ U.T

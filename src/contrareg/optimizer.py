@@ -273,10 +273,12 @@ def fit(data: Dataset, config: FitConfig) -> FitResult:
         raise DegenerateData("constant response: the likelihood is unbounded as tau2 -> 0")
 
     X, Y, r = data.X, data.Y, data.r
-    # with alpha=0 the background must not influence the fit, centering included
-    center_x = (np.vstack([X, Y]) if (data.m > 0 and config.alpha > 0) else X).mean(axis=0)
+    # with alpha=0 the background must not influence the fit, centering included,
+    # and no term reads it, so it is not copied
+    use_bg = data.m > 0 and config.alpha > 0
+    center_x = (np.vstack([X, Y]) if use_bg else X).mean(axis=0)
     center_r = float(r.mean())
-    centered = Dataset(X=X - center_x, r=r - center_r, Y=Y - center_x,
+    centered = Dataset(X=X - center_x, r=r - center_r, Y=Y - center_x if use_bg else Y[:0],
                        feature_names=data.feature_names)
 
     p, d = data.p, config.d

@@ -7,7 +7,7 @@ import numpy as np
 from .errors import (ConstantTruth, DegenerateData, FactorizationError,
                      NonFiniteObjective, RankDeficiencyError, ShapeMismatch,
                      TooFewSamples, ZeroBeta)
-from .model import Dataset, ModelParams, _integral
+from .model import Dataset, ModelParams, _integral, _rows
 from .optimizer import FitConfig, _ppca_loadings, fit
 from .simulate import r_squared
 
@@ -89,12 +89,10 @@ def pca_linear_baseline(train: Dataset, test_X, d: int):
     err by about eps s_1^2; so RankDeficiencyError when s_d^2 <= 1e-12 s_1^2,
     as in contrastive_residuals, or n <= d (centering leaves rank n - 1).
     """
-    test_X = np.asarray(test_X, float)
+    test_X = _rows(test_X, train.p)
     d = _integral(d, "d")
     if d < 1 or d > train.p:
         raise ShapeMismatch(f"need 1 <= d <= p, got d={d}, p={train.p}")
-    if test_X.ndim != 2 or test_X.shape[1] != train.p:
-        raise ShapeMismatch(f"test_X must have p={train.p} columns, got {test_X.shape}")
     if train.n <= d:
         raise RankDeficiencyError(f"need more than d={d} training rows, got {train.n}")
 

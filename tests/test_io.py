@@ -8,6 +8,7 @@ import pytest
 
 import contrareg.io
 from contrareg import MalformedFile, ShapeMismatch
+from contrareg.cli import main as cli_main
 from contrareg.io import (load_model, model_to_dict, read_table, save_model,
                           write_predictions, write_table)
 
@@ -390,6 +391,32 @@ class TestModelFiles:
         save_model(path, doc)
         with pytest.raises(ShapeMismatch):
             load_model(path)
+
+    def test_undecodable_byte_names_its_line(self, tmp_path, rng, capsys):
+        # model files are decoded as tables are: a bad byte is an input error, exit 2
+        doc = model_to_dict(random_params(rng, 2, 1), np.zeros(2), 0.0, 1.0, {},
+                            feature_names=["a", "bc"])
+        path = tmp_path / "m.json"
+        save_model(path, doc)
+        raw = path.read_bytes().replace(b'"bc"', b'"b\xffc"')
+        path.write_bytes(raw)
+        with pytest.raises(MalformedFile) as exc:
+            load_model(path)
+        assert exc.value.line == raw[:raw.index(b"\xff")].count(b"\n") + 1 > 1
+        assert cli_main(["rank", "--model", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+    def test_byte_order_mark_is_not_part_of_the_document(self, tmp_path, rng):
+        params = random_params(rng, 3, 2)
+        path = tmp_path / "m.json"
+        save_model(path, model_to_dict(params, np.zeros(3), 0.0, 1.0, {},
+                                       feature_names=["a", "b", "c"]))
+        plain = load_model(path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        marked = load_model(path)
+        for name in ("S", "W", "beta", "sigma2", "tau2"):
+            assert np.array_equal(getattr(marked[0], name), getattr(plain[0], name))
+        assert marked[4] == plain[4] == ["a", "b", "c"]
 
     def test_zero_latent_dimension(self, tmp_path, rng):
         doc = model_to_dict(random_params(rng, 3, 1), np.zeros(3), 0.0, 1.0, {})

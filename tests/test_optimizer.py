@@ -295,6 +295,19 @@ class TestFit:
             tracemalloc.stop()
         assert peak <= bound * (data.X.nbytes + data.Y.nbytes)
 
+    def test_peak_allocation_without_the_background_term(self):
+        # at alpha = 0 no term reads the background, so fit centres only X
+        rng = np.random.default_rng(5)
+        data = Dataset(X=rng.standard_normal((1000, 100)), r=rng.standard_normal(1000),
+                       Y=rng.standard_normal((1000, 100)))
+        tracemalloc.start()
+        try:
+            fit(data, FitConfig(d=2, alpha=0.0, max_iter=3, restarts=0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.75 * (data.X.nbytes + data.Y.nbytes)
+
     def test_predict_applies_centering(self):
         data, _ = generate(GenConfig(n=50, m=50, p=3, d=1, seed=2))
         result = fit(data, FitConfig(d=1, max_iter=100, restarts=0, seed=2))
