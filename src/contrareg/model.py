@@ -35,13 +35,19 @@ accurate at a tiny sigma2.  Dense P and Q exist only in the test oracles.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import FactorizationError, RankDeficiencyError, ShapeMismatch
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 _ROW_BLOCK = 256     # rows per block where a pass over a data matrix would copy it whole
+# the LAPACK gufuncs that np.linalg.cholesky and np.linalg.inv run, without their
+# wrappers (see _factor); a failure leaves NaN and sets the invalid flag
+_cholesky = partial(_umath_linalg.cholesky_lo, signature="d->d")
+_inv = partial(_umath_linalg.inv, signature="d->d")
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +231,18 @@ def _blocks(theta, p, d):
 
 
 def _unpack(theta, p, d):
+    """ModelParams of a packed vector, without ModelParams' checks.
+
+    Each caller's theta is finite: it comes from checked parameters or from
+    a successful evaluation, or the caller is fit's objective, which tests
+    theta once and rejects an exp that overflowed to an infinite variance.
+    The blocks are float64 views, as the checks would store them.
+    """
     S, W, beta = _blocks(theta, p, d)
-    return ModelParams(S=S, W=W, beta=beta,
-                       sigma2=float(np.exp(theta[-2])), tau2=float(np.exp(theta[-1])))
+    params = object.__new__(ModelParams)
+    params.__dict__.update(S=S, W=W, beta=beta,
+                           sigma2=float(np.exp(theta[-2])), tau2=float(np.exp(theta[-1])))
+    return params
 
 
 def _grad_vector(params, grad):
@@ -245,23 +260,35 @@ def _grad_vector(params, grad):
 # ---------------------------------------------------------------------------
 
 def _factor(U, s2, label):
-    """V = U L^-T, L^-1 and log|sigma2 I + U U'| for L L' = sigma2 I + U'U."""
+    """V = U L^-T, L^-1 and log|sigma2 I + U U'| for L L' = sigma2 I + U'U.
+
+    Call under np.errstate(all="ignore").  It calls the LAPACK gufuncs that
+    np.linalg.cholesky and np.linalg.inv run, directly: the same bits,
+    without the wrappers' type checks and errstate, which took most of a
+    2d x 2d factor's time.  A factor that fails is NaN and one of an
+    overflowing U'U infinite, so either leaves logdet non-finite: a
+    FactorizationError.  TestFactor in tests/test_model.py pins the bits
+    against np.linalg.
+    """
     p, k = U.shape
-    with np.errstate(over="ignore"):       # overflowing loadings: FactorizationError below
-        M = U.T @ U
+    M = U.T @ U
     M.ravel()[::k + 1] += s2
-    if not np.isfinite(M).all():
-        raise FactorizationError(f"{label} contains non-finite entries")
-    try:
-        L = np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(f"{label} is numerically non-SPD: {exc}") from exc
-    Li = np.linalg.inv(L)
-    return U @ Li.T, Li, float((p - k) * np.log(s2) + 2.0 * np.log(L.diagonal()).sum())
+    L = _cholesky(M)
+    logdet = float((p - k) * np.log(s2) + 2.0 * np.log(L.diagonal()).sum())
+    if not np.isfinite(logdet):
+        raise FactorizationError(f"{label} is not finite, or numerically non-SPD")
+    Li = _inv(L)
+    return U @ Li.T, Li, logdet
 
 
 def build_workspace(params: ModelParams) -> Workspace:
     """Small factor of Q, A and the prediction cache for a parameter value."""
+    with np.errstate(all="ignore"):          # overflow and a failed factor raise below
+        return _workspace(params)
+
+
+def _workspace(params):
+    """build_workspace's body, for a caller already under np.errstate(all="ignore")."""
     # construction allows zero variances (a noiseless truth); the likelihood divides by them
     if not (params.sigma2 > 0.0 and params.tau2 > 0.0):
         raise ShapeMismatch(f"sigma2 and tau2 must be positive, got {params.sigma2}, {params.tau2}")
@@ -329,10 +356,11 @@ def _evaluate(params, data, alpha, want_grad):
     s = pred_var; this term is written here alone, from the residual
     e = r - X v and, for the gradient, X' e, w = Q^-1 X' e and U' w.
     At a tiny noise variance the gradient overflows into inf - inf: a
-    non-finite ll is -inf and a non-finite gradient a FactorizationError,
-    without floating-point warnings.
+    non-finite ll is -inf and a non-finite gradient a FactorizationError.
+    Every caller holds one np.errstate(all="ignore") around the call, so
+    neither shows as a floating-point warning.
     """
-    ws = build_workspace(params)
+    ws = _workspace(params)
     d = params.d
     s2 = np.float64(params.sigma2)
     beta = params.beta
@@ -341,34 +369,33 @@ def _evaluate(params, data, alpha, want_grad):
     s = np.float64(ws.pred_var)                    # tau2 + beta' A beta
     use_bg = alpha > 0.0 and data.m > 0
 
-    with np.errstate(all="ignore"):
-        ll, gx = _gaussian(X, ws.V_Q, ws.Li_Q, ws.logdet_Q, s2, want_grad)
-        e = data.r - X @ v
-        E2 = e @ e
-        ll += -0.5 * (n * (np.log(s) + LOG_2PI) + E2 / s)
-        if use_bg:
-            ll_y, gy = _gaussian(data.Y, *_factor(params.S, s2, "sigma2 I + S'S"), s2, want_grad)
-            ll += alpha * ll_y
-        if not np.isfinite(ll):
-            ll = -np.inf
-        if not want_grad:
-            return ll, None
+    ll, gx = _gaussian(X, ws.V_Q, ws.Li_Q, ws.logdet_Q, s2, want_grad)
+    e = data.r - X @ v
+    E2 = e @ e
+    ll += -0.5 * (n * (np.log(s) + LOG_2PI) + E2 / s)
+    if use_bg:
+        ll_y, gy = _gaussian(data.Y, *_factor(params.S, s2, "sigma2 I + S'S"), s2, want_grad)
+        ll += alpha * ll_y
+    if not np.isfinite(ll):
+        ll = -np.inf
+    if not want_grad:
+        return ll, None
 
-        dU, dsigma2 = gx
-        Xe = X.T @ e
-        VXe = ws.V_Q.T @ Xe
-        w = (Xe - ws.V_Q @ VXe) / s2               # Q^-1 X' e
-        wU = ws.Li_Q.T @ VXe                       # U' w
-        kappa = (E2 / s - n) / (2.0 * s)           # d ll / d s
-        # the regression term reaches U through Q in v and in s
-        dU += np.outer(2.0 * kappa * v - w / s, ws.U.T @ v) - np.outer(v, wU) / s
-        dsigma2 += kappa * (v @ v) - (w @ v) / s
-        if use_bg:
-            dU[:, :d] += alpha * gy[0]
-            dsigma2 += alpha * gy[1]
-        dS = dU[:, :d]
-        dW = dU[:, d:] + np.outer(w / s - 2.0 * kappa * v, beta)
-        dbeta = 2.0 * kappa * (ws.A @ beta) + wU[d:] / s
+    dU, dsigma2 = gx
+    Xe = X.T @ e
+    VXe = ws.V_Q.T @ Xe
+    w = (Xe - ws.V_Q @ VXe) / s2                   # Q^-1 X' e
+    wU = ws.Li_Q.T @ VXe                           # U' w
+    kappa = (E2 / s - n) / (2.0 * s)               # d ll / d s
+    # the regression term reaches U through Q in v and in s
+    dU += (2.0 * kappa * v - w / s)[:, None] * (ws.U.T @ v) - v[:, None] * wU / s
+    dsigma2 += kappa * (v @ v) - (w @ v) / s
+    if use_bg:
+        dU[:, :d] += alpha * gy[0]
+        dsigma2 += alpha * gy[1]
+    dS = dU[:, :d]
+    dW = dU[:, d:] + (w / s - 2.0 * kappa * v)[:, None] * beta
+    dbeta = 2.0 * kappa * (ws.A @ beta) + wU[d:] / s
     if not (np.isfinite(dsigma2) and np.isfinite(kappa) and np.isfinite(dS).all()
             and np.isfinite(dW).all() and np.isfinite(dbeta).all()):
         raise FactorizationError("gradient is not finite (noise-variance underflow)")
@@ -382,8 +409,8 @@ def log_likelihood(params: ModelParams, data: Dataset, alpha: float = 1.0) -> fl
     Includes all -0.5 log(2 pi) constants so the value is a true log-density.
     """
     _check_pair(params, data, alpha)
-    ll, _ = _evaluate(params, data, alpha, want_grad=False)
-    return ll
+    with np.errstate(all="ignore"):
+        return _evaluate(params, data, alpha, want_grad=False)[0]
 
 
 def grad_log_likelihood(params: ModelParams, data: Dataset, alpha: float = 1.0) -> GradientSet:
@@ -398,7 +425,8 @@ def log_likelihood_and_grad(params, data, alpha=1.0):
     variance so small that d ll / d tau2 overflows.
     """
     _check_pair(params, data, alpha)
-    return _evaluate(params, data, alpha, want_grad=True)
+    with np.errstate(all="ignore"):
+        return _evaluate(params, data, alpha, want_grad=True)
 
 
 def finite_diff_gradient(params: ModelParams, data: Dataset, alpha: float = 1.0,
@@ -416,12 +444,13 @@ def finite_diff_gradient(params: ModelParams, data: Dataset, alpha: float = 1.0,
     p, d = params.p, params.d
     theta = _pack(params)
     g = np.empty_like(theta)
-    for i in range(theta.size):
-        plus, minus = theta.copy(), theta.copy()
-        plus[i] += step
-        minus[i] -= step
-        g[i] = (_evaluate(_unpack(plus, p, d), data, alpha, want_grad=False)[0]
-                - _evaluate(_unpack(minus, p, d), data, alpha, want_grad=False)[0]) / (2.0 * step)
+    with np.errstate(all="ignore"):
+        for i in range(theta.size):
+            plus, minus = theta.copy(), theta.copy()
+            plus[i] += step
+            minus[i] -= step
+            g[i] = (_evaluate(_unpack(plus, p, d), data, alpha, want_grad=False)[0]
+                    - _evaluate(_unpack(minus, p, d), data, alpha, want_grad=False)[0]) / (2 * step)
     dS, dW, dbeta = _blocks(g, p, d)
     return GradientSet(dS=dS, dW=dW, dbeta=dbeta,
                        dsigma2=float(g[-2] / params.sigma2),

@@ -1,10 +1,10 @@
 """Maximum-likelihood fitting with restarts.
 
 Two solvers are available.  The default, line_search_ascent, is a monotone
-L-BFGS ascent: the two-loop recursion (Nocedal 1980; Nocedal & Wright,
-Alg. 7.4) turns the gradient into a quasi-Newton direction, and an Armijo
-backtracking line search accepts only steps that increase the objective.
-It stops at a stationary point, where the gradient test
+L-BFGS ascent: the compact form of the L-BFGS matrix (Byrd, Nocedal &
+Schnabel 1994) turns the gradient into a quasi-Newton direction, and an
+Armijo backtracking line search accepts only steps that increase the
+objective.  It stops at a stationary point, where the gradient test
 |g|_inf <= tol * max(1, |ll|) / n holds (n foreground rows), or where
 rounding stalls it.  adaptive_moment takes first/second-moment adaptive
 steps (Adam-style, not monotone) with learning rate step0 and stops after
@@ -14,10 +14,21 @@ column-centered with the pooled foreground/background mean (the foreground
 mean when alpha = 0 or there is no background) and the response is
 mean-centered; the offsets are stored on the result and re-applied at
 prediction time.
+
+At the sizes CV fits (p = 20, d <= 4), an iteration costs more in numpy
+calls than in arithmetic, so the solver keeps their number down.  The
+compact form takes a few matrix calls and one small triangular inverse,
+where the two-loop recursion (Nocedal 1980) took four calls per pair; it
+is the same matrix with other rounding, and tests/test_optimizer.py holds
+it to the recursion.  That inverse, like model._factor's factors, calls
+the LAPACK gufunc behind np.linalg.inv without the wrapper, whose checks
+cost more than the arithmetic; tests/test_model.py::TestFactor pins the
+bits against np.linalg.  The objective tests theta once and builds its
+ModelParams unchecked, under one np.errstate, so a trial that overflows or
+fails to factor is a failed trial (-inf), not a warning.
 """
 
 import time
-from collections import deque
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -26,7 +37,7 @@ import numpy as np
 from .errors import (DegenerateData, FactorizationError, NonFiniteObjective,
                      ShapeMismatch)
 from .model import (Dataset, ModelParams, predict_rows, _evaluate, _grad_vector,
-                    _integral_fields, _pack, _unpack)
+                    _integral_fields, _inv, _pack, _unpack)
 
 MODES = ("line_search_ascent", "adaptive_moment")
 INITS = ("random_normal", "pca_warm_start")
@@ -168,23 +179,28 @@ def _ppca_loadings(Z, d):
 # Single-restart solvers
 # ---------------------------------------------------------------------------
 
-def _lbfgs_direction(g, pairs):
-    """Two-loop recursion: the L-BFGS inverse-Hessian approximation applied to g.
+def _lbfgs_direction(g, S, Y):
+    """The L-BFGS inverse-Hessian approximation H applied to g, in compact form.
 
-    pairs holds (s, y, 1 / s'y) from oldest to newest, with y the decrease of
-    the gradient, so that the approximated matrix is that of -ll.
+    S and Y hold the curvature pairs (s, y) as rows, oldest first, with y the
+    decrease of the gradient, so that H approximates the inverse Hessian of
+    -ll.  With R the upper triangle of S Y', D its diagonal and
+    gamma = s'y / y'y of the newest pair (Byrd, Nocedal & Schnabel 1994,
+    Thm 2.2),
+
+        H = gamma I + [S' gamma Y'] [[R^-T (D + gamma Y Y') R^-1, -R^-T],
+                                     [-R^-1, 0]] [S; gamma Y].
+
+    That is the matrix of the two-loop recursion (Nocedal & Wright,
+    Alg. 7.4), rounded differently, in a few matrix calls; the recursion is
+    kept as the test oracle.
     """
-    q = g.copy()
-    alphas = []
-    for s, y, rho in reversed(pairs):
-        a = rho * (s @ q)
-        q -= a * y
-        alphas.append(a)
-    s, y, _ = pairs[-1]
-    q *= (s @ y) / (y @ y)
-    for (s, y, rho), a in zip(pairs, reversed(alphas)):
-        q += (a - rho * (y @ q)) * s
-    return q
+    SY = S @ Y.T
+    Ri = _inv(np.triu(SY))
+    gamma = SY[-1, -1] / (Y[-1] @ Y[-1])
+    q = Ri @ (S @ g)
+    h = g - Y.T @ q
+    return gamma * h + S.T @ (Ri.T @ (SY.diagonal() * q - gamma * (Y @ h)))
 
 
 def _stationary(g, ll, tol, n):
@@ -193,16 +209,16 @@ def _stationary(g, ll, tol, n):
 
 def _run_line_search(fun, theta, ll, g, config, n):
     trace = [ll]
-    pairs = deque(maxlen=_MEMORY)
+    S = Y = np.empty((0, theta.size))          # curvature pairs as rows, oldest first
     converged = _stationary(g, ll, config.tol, n)
     while not converged and len(trace) <= config.max_iter:
-        direction = _lbfgs_direction(g, pairs) if pairs else g
+        direction = _lbfgs_direction(g, S, Y) if len(S) else g
         slope = g @ direction
         if slope <= 0.0:
             # not an ascent direction: restart from steepest ascent
-            pairs.clear()
+            S = Y = S[:0]
             direction, slope = g, g @ g
-        st = 1.0 if pairs else 1.0 / max(1.0, np.linalg.norm(g))
+        st = 1.0 if len(S) else 1.0 / max(1.0, np.linalg.norm(g))
         while st >= _STEP_MIN:
             cand = theta + st * direction
             ll_c, g_c = fun(cand)
@@ -214,9 +230,8 @@ def _run_line_search(fun, theta, ll, g, config, n):
             converged = True
             break
         s, y = cand - theta, g - g_c
-        sy = s @ y
-        if sy > 1e-10 * (y @ y):
-            pairs.append((s, y, 1.0 / sy))
+        if s @ y > 1e-10 * (y @ y):
+            S, Y = np.vstack([S, s])[-_MEMORY:], np.vstack([Y, y])[-_MEMORY:]
         stalled = abs(ll_c - ll) <= _STALL * (abs(ll) + 1.0)
         theta, ll, g = cand, ll_c, g_c
         trace.append(ll)
@@ -284,15 +299,18 @@ def fit(data: Dataset, config: FitConfig) -> FitResult:
     p, d = data.p, config.d
 
     def fun(theta):
-        try:
-            # an overflowing exp(log sigma2) is a failed trial, not a warning
-            with np.errstate(over="raise"):
-                params = _unpack(theta, p, d)
-            ll, grad = _evaluate(params, centered, config.alpha, want_grad=True)
-            g = _grad_vector(params, grad)
-        except (FloatingPointError, FactorizationError, ShapeMismatch):
-            return -np.inf, None
-        if not np.all(np.isfinite(g)):
+        # theta is tested here once, not by ModelParams; under one errstate an
+        # overflow or a failed factor is a failed trial, not a warning
+        with np.errstate(all="ignore"):
+            params = _unpack(theta, p, d)
+            if not (np.isfinite(theta).all() and max(params.sigma2, params.tau2) < np.inf):
+                return -np.inf, None
+            try:
+                ll, grad = _evaluate(params, centered, config.alpha, want_grad=True)
+                g = _grad_vector(params, grad)
+            except (FactorizationError, ShapeMismatch):
+                return -np.inf, None
+        if not np.isfinite(g).all():
             return -np.inf, None
         return ll, g
 

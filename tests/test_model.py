@@ -153,6 +153,47 @@ class TestBuildWorkspace:
             build_workspace(params)
 
 
+class TestFactor:
+    # _factor calls the LAPACK gufuncs behind np.linalg.cholesky and inv directly,
+    # a private numpy entry point: these pin that it computes np.linalg's bits and
+    # that a failed factor is a FactorizationError, with no RuntimeWarning
+    @pytest.mark.parametrize("sigma2", [1e-6, 1.0, 1e3])
+    @pytest.mark.parametrize("p, d", [(20, 2), (9, 4), (4, 2), (3, 2), (1, 1)],
+                             ids=["p>2d", "p=2d+1", "p=2d", "p<2d", "p<2d-1"])
+    def test_bits_equal_numpy_linalg(self, rng, p, d, sigma2):
+        for _ in range(5):
+            U = rng.standard_normal((p, 2 * d)) * rng.uniform(0.1, 10.0)
+            V, Li, logdet = model._factor(U, sigma2, "M")
+            M = U.T @ U + sigma2 * np.eye(2 * d)
+            L = np.linalg.cholesky(M)
+            Li_ref = np.linalg.inv(L)
+            assert np.array_equal(Li, Li_ref)
+            assert np.array_equal(V, U @ Li_ref.T)
+            assert logdet == float((p - 2 * d) * np.log(sigma2)
+                                   + 2.0 * np.log(L.diagonal()).sum())
+
+    @pytest.mark.parametrize("U, sigma2", [
+        (np.full((4, 2), 1e6), 1e-6),            # U'U + sigma2 I rounds to a singular matrix
+        (np.full((3, 2), 1e200), 1.0),           # U'U overflows
+        (np.ones((3, 2)), np.inf),               # sigma2 = exp(log sigma2) overflowed
+        (np.array([[1.0, np.nan], [0.0, 1.0]]), 1.0),
+    ], ids=["non-SPD", "overflow", "inf-sigma2", "nan"])
+    def test_failed_factor_is_typed(self, U, sigma2):
+        with np.errstate(all="ignore"), pytest.raises(FactorizationError):
+            model._factor(U, sigma2, "M")
+
+    def test_public_entry_points_raise_without_warnings(self):
+        # Q's factor fails numerically: no errstate of the caller's hides a warning
+        params = ModelParams(S=np.full((4, 1), 1e6), W=np.full((4, 1), 1e6),
+                             beta=np.ones(1), sigma2=1e-6, tau2=1.0)
+        data = Dataset(X=np.ones((3, 4)), r=np.arange(3.0), Y=np.ones((2, 4)))
+        for call in (build_workspace, lambda params: log_likelihood(params, data),
+                     lambda params: log_likelihood_and_grad(params, data),
+                     lambda params: predict(params, np.ones(4))):
+            with pytest.raises(FactorizationError):
+                call(params)
+
+
 # ---------------------------------------------------------------------------
 # log_likelihood
 # ---------------------------------------------------------------------------

@@ -105,6 +105,82 @@ class TestInitialize:
             initialize(data, FitConfig(d=4))
 
 
+def _two_loop_direction(g, pairs):
+    """Two-loop recursion (Nocedal & Wright, Alg. 7.4): the oracle of the compact form.
+
+    pairs holds (s, y) from oldest to newest, with y the decrease of the gradient.
+    """
+    q = g.copy()
+    alphas = []
+    for s, y in reversed(pairs):
+        a = (s @ q) / (s @ y)
+        q -= a * y
+        alphas.append(a)
+    s, y = pairs[-1]
+    q *= (s @ y) / (y @ y)
+    for (s, y), a in zip(pairs, reversed(alphas)):
+        q += (a - (y @ q) / (s @ y)) * s
+    return q
+
+
+class TestLineSearch:
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_compact_direction_matches_two_loop(self, rng, k):
+        # curvature pairs of a random SPD quadratic, in cv_grid's 84 parameters at d = 2
+        B = rng.standard_normal((84, 84))
+        A = B @ B.T / 84 + 0.1 * np.eye(84)
+        for _ in range(10):
+            S = rng.standard_normal((k, 84))
+            Y = S @ A
+            g = rng.standard_normal(84)
+            ref = _two_loop_direction(g, list(zip(S, Y)))
+            got = optimizer._lbfgs_direction(g, S, Y)
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def _scripted(self, monkeypatch, answers, max_iter, downhill_first=False):
+        """Run the line search from theta = 0, g = (1, 0) on an objective that
+        returns answers in turn, then failed trials; return the trial points and
+        the pair count each L-BFGS direction saw.  With downhill_first the first
+        direction is -g."""
+        trials, seen = [], []
+        inner = optimizer._lbfgs_direction
+
+        def fun(theta):
+            trials.append(theta.copy())
+            return answers[len(trials) - 1] if len(trials) <= len(answers) else (-np.inf, None)
+
+        def spy(g, *stack):
+            seen.append(len(stack[0]))
+            return -g if downhill_first and len(seen) == 1 else inner(g, *stack)
+
+        monkeypatch.setattr(optimizer, "_lbfgs_direction", spy)
+        optimizer._run_line_search(fun, np.zeros(2), 0.0, np.array([1.0, 0.0]),
+                                   FitConfig(d=1, tol=1e-12, max_iter=max_iter), n=1)
+        return trials, seen
+
+    @pytest.mark.parametrize("eps, kept", [(2e-10, True), (0.5e-10, False)])
+    def test_pair_kept_only_if_curvature_exceeds_1e_10_of_y_norm(self, monkeypatch, eps, kept):
+        # the first step is s = (1, 0) with y = (eps, 1): s'y = eps, y'y = 1 + eps^2
+        g1 = np.array([1.0 - eps, -1.0])
+        trials, seen = self._scripted(monkeypatch, [(1.0, g1)], max_iter=2)
+        if kept:
+            assert seen == [1]
+        else:
+            # steepest ascent, with the first step's length rule
+            assert seen == []
+            assert np.array_equal(trials[1], trials[0] + (1.0 / np.linalg.norm(g1)) * g1)
+
+    def test_non_ascent_direction_resets_to_steepest_ascent(self, monkeypatch):
+        # the first L-BFGS direction is made to point downhill: the pairs are
+        # dropped, the step is steepest ascent, and the next direction sees
+        # only the pair that step made
+        g1, g2 = np.array([0.0, -1.0]), np.array([0.0, -0.5])
+        trials, seen = self._scripted(monkeypatch, [(1.0, g1), (2.0, g2)], max_iter=3,
+                                      downhill_first=True)
+        assert seen == [1, 1]
+        assert np.array_equal(trials[1], trials[0] + g1)
+
+
 class TestFit:
     def test_line_search_trace_is_monotone(self):
         data, _ = generate(GenConfig(n=60, m=60, p=4, d=2, seed=5))
@@ -211,6 +287,28 @@ class TestFit:
         assert calls[1] > calls[0]
         assert np.isfinite(result.grad_inf_norm)
         assert np.all(np.isfinite(result.ll_trace))
+
+    def test_failed_trials_need_no_model_params_checks(self, monkeypatch):
+        # the objective tests theta once and builds ModelParams unchecked: each of
+        # these trials is still a failed trial, with no warning and nothing raised
+        data, _ = generate(GenConfig(n=40, m=40, p=4, d=2, seed=9))
+        trials = {"nan S": (0, np.nan), "inf W": (8, np.inf), "-inf beta": (16, -np.inf),
+                  "sigma2 overflows": (-2, 1e3), "sigma2 underflows": (-2, -1e3),
+                  "tau2 overflows": (-1, 1e3), "tau2 underflows": (-1, -1e3)}
+        outcomes = {}
+
+        def probe(fun, theta, ll, g, config, n):
+            for name, (index, value) in trials.items():
+                trial = theta.copy()
+                trial[index] = value
+                outcomes[name] = fun(trial)
+            return theta, g, [ll], False
+
+        monkeypatch.setattr(optimizer, "_run_line_search", probe)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit(data, FitConfig(d=2, restarts=0, seed=9))
+        assert outcomes == {name: (-np.inf, None) for name in trials}
 
     def test_adaptive_moment_retries_from_the_stored_start(self, monkeypatch):
         # the start is evaluated once; a retry after a blow-up reuses that evaluation
