@@ -20,13 +20,13 @@ Bishop 1999; Bishop, PRML 12.2 and App. C).  The log-likelihood is
     log N(X; 0, Q) + log N(r | X) + alpha log N(Y; 0, P),
 
 and one low-rank Gaussian routine computes both Gaussian terms and their
-gradients.  It reads each data matrix Z once through |Z|^2 and one product
-Z'(Z B) with the thin p x k block B = V of its factor, as PPCA's likelihood
-reads the sample covariance (Tipping & Bishop 1999): B = V_Q for the
-foreground and B = V_P for the background.  Q is factored for every use
-(build_workspace), P only where the background term is weighted in
-(_evaluate with alpha > 0).  The r | x term is written once,
-in _evaluate, from the residual e = r - X v and X'e.  An evaluation costs
+gradients.  It reads each data matrix Z through |Z|^2, which a fit computes
+once, and one product Z'(Z B) per evaluation with the thin p x k block B = V
+of its factor, as PPCA's likelihood reads the sample covariance (Tipping &
+Bishop 1999): B = V_Q for the foreground and B = V_P for the background.
+Q is factored for every use (build_workspace), P only where the background
+term is weighted in (_evaluate with alpha > 0).  The r | x term is written
+once, in _evaluate, from the residual e = r - X v and X'e.  An evaluation costs
 O((n + m) p d) time and O((n + m) d + p d) memory beyond the data; neither a
 p x p nor an n x p matrix is formed.  The one exception is a Gaussian whose
 U has p or more columns (p <= 2d, so Z is n x 2d at most): there the
@@ -317,9 +317,15 @@ def _check_pair(params, data, alpha):
         raise ShapeMismatch(f"alpha must be finite and nonnegative, got {alpha}")
 
 
-def _gaussian(Z, V, Li, logdet, s2, want_grad):
+def _squared_norms(data, use_bg):
+    """|X|^2 and |Y|^2 (0 without the background term): _gaussian's data constants."""
+    return np.vdot(data.X, data.X), (np.vdot(data.Y, data.Y) if use_bg else 0.0)
+
+
+def _gaussian(Z, quad, V, Li, logdet, s2, want_grad):
     """Sum over the rows z of Z of log N(z; 0, C), C = sigma2 I + U U'.
 
+    quad is |Z|^2, a constant of the data that a fit computes once.
     V, Li and logdet are _factor's for U: C^-1 = (I - V V') / sigma2 and
     C^-1 U = V Li.  Returns (ll, None), or with want_grad (ll, (d/dU,
     d/dsigma2)).  The data enter once, through Z V and G = Z'(Z V):
@@ -332,7 +338,6 @@ def _gaussian(Z, V, Li, logdet, s2, want_grad):
     n, p = Z.shape
     k = V.shape[1]
     ZV = Z @ V
-    quad = np.vdot(Z, Z)
     K = ZV.T @ ZV
     trK = K.trace()
     ll = -0.5 * (n * (logdet + p * LOG_2PI) + (quad - trK) / s2)
@@ -348,8 +353,11 @@ def _gaussian(Z, V, Li, logdet, s2, want_grad):
     return ll, (dU, ds2)
 
 
-def _evaluate(params, data, alpha, want_grad):
+def _evaluate(params, data, alpha, want_grad, sq_norms=None):
     """Shared evaluation of the log-likelihood and (optionally) its gradient.
+
+    sq_norms is _squared_norms(data, ...) where the caller evaluates the same
+    data many times, as fit does; without it they are computed here.
 
     log p = log N(X; 0, Q) + log N(r | X) + alpha log N(Y; 0, P), with both
     Gaussian terms from _gaussian.  r | x is N(v' x, s), v = pred_coef and
@@ -368,13 +376,15 @@ def _evaluate(params, data, alpha, want_grad):
     v = ws.pred_coef                               # Q^-1 W beta = P^-1 W A beta
     s = np.float64(ws.pred_var)                    # tau2 + beta' A beta
     use_bg = alpha > 0.0 and data.m > 0
+    quad_x, quad_y = _squared_norms(data, use_bg) if sq_norms is None else sq_norms
 
-    ll, gx = _gaussian(X, ws.V_Q, ws.Li_Q, ws.logdet_Q, s2, want_grad)
+    ll, gx = _gaussian(X, quad_x, ws.V_Q, ws.Li_Q, ws.logdet_Q, s2, want_grad)
     e = data.r - X @ v
     E2 = e @ e
     ll += -0.5 * (n * (np.log(s) + LOG_2PI) + E2 / s)
     if use_bg:
-        ll_y, gy = _gaussian(data.Y, *_factor(params.S, s2, "sigma2 I + S'S"), s2, want_grad)
+        ll_y, gy = _gaussian(data.Y, quad_y, *_factor(params.S, s2, "sigma2 I + S'S"), s2,
+                             want_grad)
         ll += alpha * ll_y
     if not np.isfinite(ll):
         ll = -np.inf

@@ -25,7 +25,15 @@ the LAPACK gufunc behind np.linalg.inv without the wrapper, whose checks
 cost more than the arithmetic; tests/test_model.py::TestFactor pins the
 bits against np.linalg.  The objective tests theta once and builds its
 ModelParams unchecked, under one np.errstate, so a trial that overflows or
-fails to factor is a failed trial (-inf), not a warning.
+fails to factor is a failed trial (-inf), not a warning.  The data's
+squared norms |X|^2 and |Y|^2 are computed once per fit, not per call.
+
+The pca_warm_start start finds its top-d subspaces by randomized subspace
+iteration (Halko, Martinsson & Tropp 2011, SIAM Rev. 53:217, Alg. 4.4):
+_POWER_PASSES = 5 passes over the data, none where the sketch already
+spans every direction, and no Gram matrix or stacked copy of the data.
+Its Gaussian test matrix has the constant seed _SKETCH_SEED, so the start
+draws nothing from config.seed and one solve covers every restart.
 """
 
 import time
@@ -37,7 +45,7 @@ import numpy as np
 from .errors import (DegenerateData, FactorizationError, NonFiniteObjective,
                      ShapeMismatch)
 from .model import (Dataset, ModelParams, predict_rows, _evaluate, _grad_vector,
-                    _integral_fields, _inv, _pack, _unpack)
+                    _integral_fields, _inv, _pack, _squared_norms, _unpack)
 
 MODES = ("line_search_ascent", "adaptive_moment")
 INITS = ("random_normal", "pca_warm_start")
@@ -48,6 +56,9 @@ _MEMORY = 10            # L-BFGS curvature pairs kept
 _ARMIJO = 1e-4          # sufficient-increase constant of the line search
 _STALL = 1e-15          # relative change of the objective at rounding level
 _PATIENCE = 3           # adaptive_moment: consecutive small relative changes before stopping
+_OVERSAMPLE = 10        # pca_warm_start: sketch columns beyond d
+_POWER_PASSES = 5       # pca_warm_start: subspace-iteration passes over the data
+_SKETCH_SEED = 0x5EED   # pca_warm_start: the test matrix's seed, the same for every fit
 
 
 @dataclass(frozen=True)
@@ -124,6 +135,12 @@ def initialize(data: Dataset, config: FitConfig) -> ModelParams:
     """Seeded starting point from data centered as fit() centers them, not centered again.
 
     Constant data raise DegenerateData; the test is exact: every pooled row equals X[0].
+    pca_warm_start takes S from the pooled rows and W from the foreground's
+    residual off span(S) as PPCA loadings (Tipping & Bishop 1999), found by
+    randomized subspace iteration (Halko, Martinsson & Tropp 2011) in
+    _POWER_PASSES = 5 passes over the data, block by block.  Its test
+    matrix has the constant seed _SKETCH_SEED, not config.seed, so the
+    start draws nothing from the fit's seed and fit solves it once.
     """
     if data.n == 0:
         raise DegenerateData("cannot initialize with zero foreground samples")
@@ -131,47 +148,70 @@ def initialize(data: Dataset, config: FitConfig) -> ModelParams:
     blocks = (data.X, data.Y) if data.m > 0 and config.alpha > 0 else (data.X,)
     if all(np.all(Z == data.X[0]) for Z in blocks):
         raise DegenerateData("all-constant columns: pooled data variance is zero")
-    data_var = sum(np.vdot(Z, Z) for Z in blocks) / (data.p * sum(len(Z) for Z in blocks))
+    rows = sum(len(Z) for Z in blocks)
+    data_var = sum(np.vdot(Z, Z) for Z in blocks) / (data.p * rows)
     r_var = float(np.var(data.r))
     sigma2 = max(0.5 * data_var, _VAR_FLOOR)
     tau2 = max(0.5 * r_var, _VAR_FLOOR)
 
     p, d = data.p, config.d
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x1217]))
     if config.init == "random_normal":
+        rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x1217]))
         S = 0.1 * rng.standard_normal((p, d))
         W = 0.1 * rng.standard_normal((p, d))
         beta = 0.1 * rng.standard_normal(d)
         return ModelParams(S=S, W=W, beta=beta, sigma2=sigma2, tau2=tau2)
 
-    # pca_warm_start: S from the pooled rows, W from the foreground's residual off span(S)
-    S, span = _ppca_loadings(np.vstack(blocks), d)
-    Xc = data.X - data.X.mean(axis=0)
-    W, _ = _ppca_loadings(Xc - (Xc @ span) @ span.T, d)
+    # pca_warm_start: S from the pooled rows Z = [X; Y], never stacked
+    S, span = _sketched_loadings(
+        lambda B: np.concatenate([Z @ B for Z in blocks]),
+        lambda U: sum(Z.T @ part for Z, part in zip(blocks, np.split(U, [data.n]))),
+        rows, p, d)
+
+    # W from the foreground's residual (X - 1 mean')(I - span span'), with the mean and
+    # the projection applied inside the products, so no n x p residual is formed
+    X = data.X
+    mean = X.mean(axis=0)
+
+    def off_span(G):
+        return G - span @ (span.T @ G)
+
+    def residual(B):
+        B = off_span(B)
+        return X @ B - mean @ B
+
+    def residual_t(U):
+        return off_span(X.T @ U - np.outer(mean, U.sum(axis=0)))
+
+    W, _ = _sketched_loadings(residual, residual_t, data.n, p, d)
     return ModelParams(S=S, W=W, beta=np.zeros(d), sigma2=sigma2, tau2=tau2)
 
 
-def _ppca_loadings(Z, d):
-    """PPCA loadings of the centered rows Z as sigma2 -> 0 (Tipping & Bishop 1999).
+def _sketched_loadings(Z_times, Zt_times, rows, p, d):
+    """PPCA loadings of centered rows Z as sigma2 -> 0, and their right singular vectors.
 
-    The top-d right singular vectors times singular value / sqrt(rows),
-    zero-padded to d columns, and those singular vectors.  They come from
-    the top eigenvectors of the smaller Gram matrix, without an SVD of Z:
-    directly from Z'Z, or as Z'u / |Z'u| from those u of Z Z'.
+    Z is read only through Z_times(B) = Z B for a p x k block B and
+    Zt_times(U) = Z' U for a rows x k block U.  Randomized subspace
+    iteration (Halko, Martinsson & Tropp 2011, Alg. 4.4 on Z', then
+    Alg. 5.1) with k = min(rows, p, d + _OVERSAMPLE): a Gaussian rows x k
+    test matrix from the constant _SKETCH_SEED, an orthonormal p x k basis
+    B of Z' times it, _POWER_PASSES passes B <- qr(Z' qr(Z B)), then the SVD
+    of the rows x k sketch Z B.  At k = min(rows, p) the first basis already
+    spans Z's row space, so no pass is made and the result is exact;
+    otherwise the error of direction j falls as (s_{k+1} / s_j)^(2 passes + 1).
+    Returns the top-d right singular vectors times singular value /
+    sqrt(rows), zero-padded to d columns, and those min(d, rows, p) vectors.
     """
-    rows, p = Z.shape
-    k = min(d, rows, p)
-    if rows <= p:
-        _, vecs = np.linalg.eigh(Z @ Z.T)
-        span = Z.T @ vecs[:, ::-1][:, :k]
-        svals = np.linalg.norm(span, axis=0)
-        span /= np.where(svals > 0.0, svals, 1.0)
-    else:
-        evals, vecs = np.linalg.eigh(Z.T @ Z)
-        span = vecs[:, ::-1][:, :k]
-        svals = np.sqrt(np.maximum(evals[::-1][:k], 0.0))
+    k = min(rows, p, d + _OVERSAMPLE)
+    draw = np.random.default_rng(_SKETCH_SEED).standard_normal
+    basis = np.linalg.qr(Zt_times(draw((rows, k))))[0]      # the test matrix is not kept
+    for _ in range(0 if k == min(rows, p) else _POWER_PASSES):
+        basis = np.linalg.qr(Zt_times(np.linalg.qr(Z_times(basis))[0]))[0]
+    _, svals, wt = np.linalg.svd(Z_times(basis), full_matrices=False)
+    keep = min(d, k)
+    span = basis @ wt[:keep].T
     loadings = np.zeros((p, d))
-    loadings[:, :k] = span * (svals / np.sqrt(max(rows, 1)))
+    loadings[:, :keep] = span * (svals[:keep] / np.sqrt(rows))
     return loadings, span
 
 
@@ -297,6 +337,7 @@ def fit(data: Dataset, config: FitConfig) -> FitResult:
                        feature_names=data.feature_names)
 
     p, d = data.p, config.d
+    sq_norms = _squared_norms(centered, use_bg)
 
     def fun(theta):
         # theta is tested here once, not by ModelParams; under one errstate an
@@ -306,7 +347,8 @@ def fit(data: Dataset, config: FitConfig) -> FitResult:
             if not (np.isfinite(theta).all() and max(params.sigma2, params.tau2) < np.inf):
                 return -np.inf, None
             try:
-                ll, grad = _evaluate(params, centered, config.alpha, want_grad=True)
+                ll, grad = _evaluate(params, centered, config.alpha, want_grad=True,
+                                     sq_norms=sq_norms)
                 g = _grad_vector(params, grad)
             except (FactorizationError, ShapeMismatch):
                 return -np.inf, None

@@ -8,7 +8,7 @@ from .errors import (ConstantTruth, DegenerateData, FactorizationError,
                      NonFiniteObjective, RankDeficiencyError, ShapeMismatch,
                      TooFewSamples, ZeroBeta)
 from .model import Dataset, ModelParams, _integral, _rows
-from .optimizer import FitConfig, _ppca_loadings, fit
+from .optimizer import FitConfig, fit
 from .simulate import r_squared
 
 _TIE_TOL = 1e-12
@@ -108,6 +108,30 @@ def pca_linear_baseline(train: Dataset, test_X, d: int):
     coef, *_ = np.linalg.lstsq(design, train.r, rcond=None)
     test_scores = (test_X - mean) @ comps
     return np.column_stack([np.ones(test_X.shape[0]), test_scores]) @ coef
+
+
+def _ppca_loadings(Z, d):
+    """PPCA loadings of the centered rows Z as sigma2 -> 0 (Tipping & Bishop 1999).
+
+    The top-d right singular vectors times singular value / sqrt(rows),
+    zero-padded to d columns, and those singular vectors.  They come from
+    the top eigenvectors of the smaller Gram matrix, without an SVD of Z:
+    directly from Z'Z, or as Z'u / |Z'u| from those u of Z Z'.
+    """
+    rows, p = Z.shape
+    k = min(d, rows, p)
+    if rows <= p:
+        _, vecs = np.linalg.eigh(Z @ Z.T)
+        span = Z.T @ vecs[:, ::-1][:, :k]
+        svals = np.linalg.norm(span, axis=0)
+        span /= np.where(svals > 0.0, svals, 1.0)
+    else:
+        evals, vecs = np.linalg.eigh(Z.T @ Z)
+        span = vecs[:, ::-1][:, :k]
+        svals = np.sqrt(np.maximum(evals[::-1][:k], 0.0))
+    loadings = np.zeros((p, d))
+    loadings[:, :k] = span * (svals / np.sqrt(max(rows, 1)))
+    return loadings, span
 
 
 def rank_features(params: ModelParams) -> FeatureRanking:

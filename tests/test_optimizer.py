@@ -11,7 +11,7 @@ from contrareg import (Dataset, DegenerateData, FitConfig, GenConfig,
                        LinesConfig, NonFiniteObjective, ShapeMismatch,
                        build_workspace, fit, generate, generate_lines, initialize,
                        latent_posterior, pca_linear_baseline, predict, r_squared)
-from contrareg import optimizer
+from contrareg import optimizer, select
 from contrareg.model import _evaluate, _grad_vector
 
 
@@ -44,7 +44,7 @@ class TestInitialize:
         for rows, p in ((30, 50), (50, 30)):
             Z = rng.standard_normal((rows, p)) * np.linspace(3.0, 0.5, p)
             Z -= Z.mean(axis=0)
-            loadings, span = optimizer._ppca_loadings(Z, 3)
+            loadings, span = select._ppca_loadings(Z, 3)
             _, svals, Vt = np.linalg.svd(Z, full_matrices=False)
             ref = svals[:3] / np.sqrt(rows)
             np.testing.assert_allclose(np.linalg.norm(loadings, axis=0), ref, rtol=1e-10)
@@ -53,7 +53,57 @@ class TestInitialize:
             assert np.allclose(loadings, span * ref)
         # min(rows, p) < d: the columns past min(rows, p) are zero
         for shape in ((2, 5), (5, 2)):
-            loadings, span = optimizer._ppca_loadings(rng.standard_normal(shape), 3)
+            loadings, span = select._ppca_loadings(rng.standard_normal(shape), 3)
+            assert loadings.shape == (shape[1], 3) and span.shape == (shape[1], 2)
+            assert np.all(loadings[:, 2] == 0.0) and np.all(loadings[:, :2] != 0.0)
+
+    @staticmethod
+    def _gram_start(data, d):
+        """The PCA start from _ppca_loadings on the pooled stack and the formed residual."""
+        S, span = select._ppca_loadings(np.vstack([data.X, data.Y]), d)
+        Xc = data.X - data.X.mean(axis=0)
+        W, _ = select._ppca_loadings(Xc - (Xc @ span) @ span.T, d)
+        return S, W
+
+    # pooled rows and residual rows both within d + 10 = 12 or p, so the sketch spans
+    # every direction and makes no power pass
+    @pytest.mark.parametrize("n, m, p", [(30, 20, 8), (8, 4, 40)])
+    def test_sketched_start_matches_gram_start_when_sketch_is_exact(self, rng, n, m, p):
+        X = rng.standard_normal((n, p)) * np.linspace(3.0, 0.5, p)
+        Y = rng.standard_normal((m, p)) * np.linspace(0.5, 2.0, p)
+        center = np.vstack([X, Y]).mean(axis=0)
+        data = Dataset(X=X - center, r=rng.standard_normal(n), Y=Y - center)
+        params = initialize(data, FitConfig(d=2, init="pca_warm_start"))
+        for got, want in zip((params.S, params.W), self._gram_start(data, 2)):
+            # singular vectors are unique up to sign
+            got = got * np.sign(np.sum(got * want, axis=0))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max())
+
+    def test_sketched_span_near_exact_on_planted_signal(self, rng):
+        rows, p, d = 500, 300, 2
+        basis = np.linalg.qr(rng.standard_normal((p, d)))[0]
+        Z = 20.0 * rng.standard_normal((rows, d)) @ basis.T + rng.standard_normal((rows, p))
+        Z -= Z.mean(axis=0)
+        loadings, span = optimizer._sketched_loadings(lambda B: Z @ B, lambda U: Z.T @ U,
+                                                      rows, p, d)
+        want, want_span = select._ppca_loadings(Z, d)
+        assert np.linalg.norm(span @ span.T - want_span @ want_span.T) <= 1e-8
+        np.testing.assert_allclose(np.linalg.norm(loadings, axis=0),
+                                   np.linalg.norm(want, axis=0), rtol=1e-10)
+
+    def test_sketched_start_draws_nothing_from_the_seed(self):
+        # 50 pooled rows and p = 20 exceed d + 10, so the sketch is random and iterated
+        data, _ = generate(GenConfig(n=30, m=20, p=20, d=2, seed=3))
+        first = initialize(data, FitConfig(d=2, init="pca_warm_start"))
+        for seed in (0, 1, 2**64 - 1):
+            assert _params_equal(initialize(data, FitConfig(d=2, init="pca_warm_start",
+                                                            seed=seed)), first)
+
+    def test_sketched_loadings_zero_padded_past_min_rows_p(self, rng):
+        for shape in ((2, 5), (5, 2)):
+            Z = rng.standard_normal(shape)
+            loadings, span = optimizer._sketched_loadings(lambda B: Z @ B, lambda U: Z.T @ U,
+                                                          *shape, 3)
             assert loadings.shape == (shape[1], 3) and span.shape == (shape[1], 2)
             assert np.all(loadings[:, 2] == 0.0) and np.all(loadings[:, :2] != 0.0)
 
@@ -379,9 +429,10 @@ class TestFit:
         np.testing.assert_allclose(moved.center_x, base.center_x + c, rtol=1e-12, atol=1e-12)
         assert moved.center_r == pytest.approx(base.center_r + k, rel=1e-12)
 
-    @pytest.mark.parametrize("init, bound", [("random_normal", 1.5), ("pca_warm_start", 3.0)])
+    @pytest.mark.parametrize("init, bound", [("random_normal", 1.5), ("pca_warm_start", 1.5)])
     def test_peak_allocation_near_one_copy_of_the_data(self, init, bound):
-        # fit holds one centered copy of X and Y; the pca warm start adds one pooled stack
+        # fit holds one centered copy of X and Y; the pca warm start reads it through
+        # products with thin rows x k blocks, with no pooled stack
         rng = np.random.default_rng(5)
         data = Dataset(X=rng.standard_normal((1000, 100)), r=rng.standard_normal(1000),
                        Y=rng.standard_normal((1000, 100)))
@@ -393,14 +444,15 @@ class TestFit:
             tracemalloc.stop()
         assert peak <= bound * (data.X.nbytes + data.Y.nbytes)
 
-    def test_peak_allocation_without_the_background_term(self):
+    @pytest.mark.parametrize("init", ["random_normal", "pca_warm_start"])
+    def test_peak_allocation_without_the_background_term(self, init):
         # at alpha = 0 no term reads the background, so fit centres only X
         rng = np.random.default_rng(5)
         data = Dataset(X=rng.standard_normal((1000, 100)), r=rng.standard_normal(1000),
                        Y=rng.standard_normal((1000, 100)))
         tracemalloc.start()
         try:
-            fit(data, FitConfig(d=2, alpha=0.0, max_iter=3, restarts=0))
+            fit(data, FitConfig(d=2, alpha=0.0, init=init, max_iter=3, restarts=0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
