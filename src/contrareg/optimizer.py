@@ -33,7 +33,9 @@ iteration (Halko, Martinsson & Tropp 2011, SIAM Rev. 53:217, Alg. 4.4):
 _POWER_PASSES = 5 passes over the data, none where the sketch already
 spans every direction, and no Gram matrix or stacked copy of the data.
 Its Gaussian test matrix has the constant seed _SKETCH_SEED, so the start
-draws nothing from config.seed and one solve covers every restart.
+draws nothing from config.seed and one solve covers every restart.  The
+same sketch, _sketched_loadings, gives select.pca_linear_baseline its
+components; it is the package's only PCA routine.
 """
 
 import time
@@ -331,7 +333,8 @@ def fit(data: Dataset, config: FitConfig) -> FitResult:
     # with alpha=0 the background must not influence the fit, centering included,
     # and no term reads it, so it is not copied
     use_bg = data.m > 0 and config.alpha > 0
-    center_x = (np.vstack([X, Y]) if use_bg else X).mean(axis=0)
+    center_x = ((X.sum(axis=0) + Y.sum(axis=0)) / (data.n + data.m) if use_bg
+                else X.mean(axis=0))
     center_r = float(r.mean())
     centered = Dataset(X=X - center_x, r=r - center_r, Y=Y - center_x if use_bg else Y[:0],
                        feature_names=data.feature_names)

@@ -8,7 +8,7 @@ from .errors import (ConstantTruth, DegenerateData, FactorizationError,
                      NonFiniteObjective, RankDeficiencyError, ShapeMismatch,
                      TooFewSamples, ZeroBeta)
 from .model import Dataset, ModelParams, _integral, _rows
-from .optimizer import FitConfig, fit
+from .optimizer import FitConfig, fit, _sketched_loadings
 from .simulate import r_squared
 
 _TIE_TOL = 1e-12
@@ -85,8 +85,9 @@ def cross_validate(data: Dataset, d_grid, k: int, config: FitConfig) -> CVReport
 def pca_linear_baseline(train: Dataset, test_X, d: int):
     """Top-d PCA of the foreground training matrix + OLS of r on the scores.
 
-    The components are _ppca_loadings' Gram eigenvectors, whose eigenvalues
-    err by about eps s_1^2; so RankDeficiencyError when s_d^2 <= 1e-12 s_1^2,
+    The components come from the sketch of the pca_warm_start start
+    (optimizer._sketched_loadings), with its constant test matrix, so the
+    baseline is deterministic.  RankDeficiencyError when s_d^2 <= 1e-12 s_1^2,
     as in contrastive_residuals, or n <= d (centering leaves rank n - 1).
     """
     test_X = _rows(test_X, train.p)
@@ -98,7 +99,8 @@ def pca_linear_baseline(train: Dataset, test_X, d: int):
 
     mean = train.X.mean(axis=0)
     Xc = train.X - mean
-    loadings, comps = _ppca_loadings(Xc, d)
+    loadings, comps = _sketched_loadings(lambda B: Xc @ B, lambda U: Xc.T @ U,
+                                         train.n, train.p, d)
     sizes = np.linalg.norm(loadings, axis=0)
     if sizes[-1] ** 2 <= 1e-12 * sizes[0] ** 2:
         raise RankDeficiencyError(
@@ -108,30 +110,6 @@ def pca_linear_baseline(train: Dataset, test_X, d: int):
     coef, *_ = np.linalg.lstsq(design, train.r, rcond=None)
     test_scores = (test_X - mean) @ comps
     return np.column_stack([np.ones(test_X.shape[0]), test_scores]) @ coef
-
-
-def _ppca_loadings(Z, d):
-    """PPCA loadings of the centered rows Z as sigma2 -> 0 (Tipping & Bishop 1999).
-
-    The top-d right singular vectors times singular value / sqrt(rows),
-    zero-padded to d columns, and those singular vectors.  They come from
-    the top eigenvectors of the smaller Gram matrix, without an SVD of Z:
-    directly from Z'Z, or as Z'u / |Z'u| from those u of Z Z'.
-    """
-    rows, p = Z.shape
-    k = min(d, rows, p)
-    if rows <= p:
-        _, vecs = np.linalg.eigh(Z @ Z.T)
-        span = Z.T @ vecs[:, ::-1][:, :k]
-        svals = np.linalg.norm(span, axis=0)
-        span /= np.where(svals > 0.0, svals, 1.0)
-    else:
-        evals, vecs = np.linalg.eigh(Z.T @ Z)
-        span = vecs[:, ::-1][:, :k]
-        svals = np.sqrt(np.maximum(evals[::-1][:k], 0.0))
-    loadings = np.zeros((p, d))
-    loadings[:, :k] = span * (svals / np.sqrt(max(rows, 1)))
-    return loadings, span
 
 
 def rank_features(params: ModelParams) -> FeatureRanking:

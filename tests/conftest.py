@@ -44,6 +44,21 @@ def dense_A(params):
     return np.linalg.inv(params.W.T @ P_inv @ params.W + np.eye(params.d))
 
 
+def svd_loadings(Z, d):
+    """PPCA loadings of centered rows Z as sigma2 -> 0, from the thin SVD (oracle only).
+
+    The top-d right singular vectors times singular value / sqrt(rows),
+    zero-padded to d columns, and those min(d, rows, p) vectors.
+    """
+    rows, p = Z.shape
+    k = min(d, rows, p)
+    _, svals, Vt = np.linalg.svd(Z, full_matrices=False)
+    span = Vt[:k].T
+    loadings = np.zeros((p, d))
+    loadings[:, :k] = span * (svals[:k] / np.sqrt(rows))
+    return loadings, span
+
+
 def gaussian_logpdf(x, cov):
     """log N(x; 0, cov) via explicit dense inverse (oracle only)."""
     x = np.atleast_1d(np.asarray(x, float))

@@ -11,8 +11,10 @@ from contrareg import (Dataset, DegenerateData, FitConfig, GenConfig,
                        LinesConfig, NonFiniteObjective, ShapeMismatch,
                        build_workspace, fit, generate, generate_lines, initialize,
                        latent_posterior, pca_linear_baseline, predict, r_squared)
-from contrareg import optimizer, select
+from contrareg import optimizer
 from contrareg.model import _evaluate, _grad_vector
+
+from conftest import svd_loadings
 
 
 def _params_equal(a, b):
@@ -39,30 +41,12 @@ class TestInitialize:
         sin_theta = np.linalg.norm(Qs - basis @ (basis.T @ Qs), 2)
         assert sin_theta <= 1e-8
 
-    def test_ppca_loadings_match_thin_svd(self, rng):
-        # rows < p takes the Z Z' branch, rows > p the Z'Z branch
-        for rows, p in ((30, 50), (50, 30)):
-            Z = rng.standard_normal((rows, p)) * np.linspace(3.0, 0.5, p)
-            Z -= Z.mean(axis=0)
-            loadings, span = select._ppca_loadings(Z, 3)
-            _, svals, Vt = np.linalg.svd(Z, full_matrices=False)
-            ref = svals[:3] / np.sqrt(rows)
-            np.testing.assert_allclose(np.linalg.norm(loadings, axis=0), ref, rtol=1e-10)
-            V0 = Vt[:3].T
-            assert np.linalg.norm(span @ span.T - V0 @ V0.T) <= 1e-8
-            assert np.allclose(loadings, span * ref)
-        # min(rows, p) < d: the columns past min(rows, p) are zero
-        for shape in ((2, 5), (5, 2)):
-            loadings, span = select._ppca_loadings(rng.standard_normal(shape), 3)
-            assert loadings.shape == (shape[1], 3) and span.shape == (shape[1], 2)
-            assert np.all(loadings[:, 2] == 0.0) and np.all(loadings[:, :2] != 0.0)
-
     @staticmethod
     def _gram_start(data, d):
-        """The PCA start from _ppca_loadings on the pooled stack and the formed residual."""
-        S, span = select._ppca_loadings(np.vstack([data.X, data.Y]), d)
+        """The PCA start from the thin SVDs of the pooled stack and the formed residual."""
+        S, span = svd_loadings(np.vstack([data.X, data.Y]), d)
         Xc = data.X - data.X.mean(axis=0)
-        W, _ = select._ppca_loadings(Xc - (Xc @ span) @ span.T, d)
+        W, _ = svd_loadings(Xc - (Xc @ span) @ span.T, d)
         return S, W
 
     # pooled rows and residual rows both within d + 10 = 12 or p, so the sketch spans
@@ -86,7 +70,7 @@ class TestInitialize:
         Z -= Z.mean(axis=0)
         loadings, span = optimizer._sketched_loadings(lambda B: Z @ B, lambda U: Z.T @ U,
                                                       rows, p, d)
-        want, want_span = select._ppca_loadings(Z, d)
+        want, want_span = svd_loadings(Z, d)
         assert np.linalg.norm(span @ span.T - want_span @ want_span.T) <= 1e-8
         np.testing.assert_allclose(np.linalg.norm(loadings, axis=0),
                                    np.linalg.norm(want, axis=0), rtol=1e-10)
@@ -428,6 +412,17 @@ class TestFit:
             assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
         np.testing.assert_allclose(moved.center_x, base.center_x + c, rtol=1e-12, atol=1e-12)
         assert moved.center_r == pytest.approx(base.center_r + k, rel=1e-12)
+
+    def test_center_is_the_pooled_mean(self, rng):
+        # fit sums X and Y block by block: the stack's mean up to rounding, and at
+        # alpha = 0 the foreground mean's own bits
+        data = Dataset(X=rng.standard_normal((30, 5)) + 3.0, r=rng.standard_normal(30),
+                       Y=rng.standard_normal((50, 5)) - 1.0)
+        config = FitConfig(d=1, max_iter=1)
+        np.testing.assert_allclose(fit(data, config).center_x,
+                                   np.vstack([data.X, data.Y]).mean(axis=0), rtol=0, atol=1e-14)
+        assert np.array_equal(fit(data, replace(config, alpha=0.0)).center_x,
+                              data.X.mean(axis=0))
 
     @pytest.mark.parametrize("init, bound", [("random_normal", 1.5), ("pca_warm_start", 1.5)])
     def test_peak_allocation_near_one_copy_of_the_data(self, init, bound):

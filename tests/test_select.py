@@ -8,7 +8,7 @@ from contrareg import (CVReport, Dataset, FeatureRanking, FitConfig, FitResult,
                        TooFewSamples, ZeroBeta, cross_validate, fit, generate,
                        pca_linear_baseline, rank_features)
 
-from conftest import random_orthogonal
+from conftest import random_orthogonal, svd_loadings
 
 
 class TestCrossValidate:
@@ -147,10 +147,20 @@ class TestPcaLinearBaseline:
         V = np.linalg.qr(rng.standard_normal((p, 2)))[0]
         return U @ np.diag([1.0, rho]) @ V.T, V
 
-    # 30 x 6 takes _ppca_loadings' Z'Z branch, 8 x 40 its Z Z' branch
+    @staticmethod
+    def _svd_pca_ols(X, r, test_X, d):
+        """The baseline's predictions from the thin SVD's components (oracle)."""
+        mean = X.mean(axis=0)
+        _, comps = svd_loadings(X - mean, d)
+        design = np.column_stack([np.ones(len(X)), (X - mean) @ comps])
+        coef, *_ = np.linalg.lstsq(design, r, rcond=None)
+        return np.column_stack([np.ones(len(test_X)), (test_X - mean) @ comps]) @ coef
+
+    # 30 x 6 has more rows than columns, 8 x 40 fewer; both are within d + 10, where
+    # the sketch spans every direction and is exact
     @pytest.mark.parametrize("rows, p", [(30, 6), (8, 40)])
     def test_singular_value_at_gram_rounding_level_rejected(self, rng, rows, p):
-        # s_2^2 = 1e-14 s_1^2 is below what the Gram eigenvalues resolve
+        # s_2^2 = 1e-14 s_1^2 is below the rank rule's 1e-12 s_1^2
         X, _ = self._two_directions(rng, rows, p, 1e-7)
         train = Dataset(X=X, r=rng.standard_normal(rows), Y=np.zeros((0, p)))
         with pytest.raises(RankDeficiencyError):
@@ -160,16 +170,25 @@ class TestPcaLinearBaseline:
     def test_small_singular_value_matches_svd_oracle(self, rng, rows, p):
         X, V = self._two_directions(rng, rows, p, 1e-4)
         r = rng.standard_normal(rows)
-        # test rows in the row space of X: the Gram eigenvectors may tilt the second
-        # component by about eps / rho^2 into directions that X does not have
+        # test rows in the row space of X: rounding may tilt the second component by
+        # about eps / rho into directions that X does not have
         test_X = np.vstack([X, rng.standard_normal((5, 2)) @ np.diag([1.0, 1e-4]) @ V.T])
         got = pca_linear_baseline(Dataset(X=X, r=r, Y=np.zeros((0, p))), test_X, 2)
-        mean = X.mean(axis=0)
-        comps = np.linalg.svd(X - mean, full_matrices=False)[2][:2].T
-        design = np.column_stack([np.ones(rows), (X - mean) @ comps])
-        coef, *_ = np.linalg.lstsq(design, r, rcond=None)
-        want = np.column_stack([np.ones(len(test_X)), (test_X - mean) @ comps]) @ coef
+        want = self._svd_pca_ols(X, r, test_X, 2)
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_iterated_sketch_matches_svd_oracle(self, rng):
+        # rows and p both above d + 10, so the sketch is random and makes its power
+        # passes; the planted spectrum stands far above the noise's
+        rows, p, d = 120, 300, 2
+        basis = np.linalg.qr(rng.standard_normal((p, 3)))[0]
+        scores = rng.standard_normal((rows, 3)) * np.array([40.0, 30.0, 20.0])
+        X = scores @ basis.T + rng.standard_normal((rows, p))
+        r = scores @ np.array([1.0, -0.5, 0.3]) + rng.standard_normal(rows)
+        test_X = rng.standard_normal((20, 3)) * np.array([40.0, 30.0, 20.0]) @ basis.T
+        got = pca_linear_baseline(Dataset(X=X, r=r, Y=np.zeros((0, p))), test_X, d)
+        want = self._svd_pca_ols(X, r, test_X, d)
+        assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
 
 
 def test_result_equality_and_hash_are_identity():
