@@ -206,10 +206,11 @@ def save_model(path, doc):
 def load_model(path):
     """Load a model file; returns (params, center_x, center_r, alpha, names, meta).
 
-    The file is opened through reading(), as a table is.  A non-finite
-    center_x or center_r, an alpha that is negative or not finite, or
-    feature_names that are neither null nor a list of strings, is a
-    MalformedFile; feature_names of the wrong length is a ShapeMismatch.
+    The file is opened through reading(), as a table is.  A schema_version,
+    p or d that is not a JSON integer, a non-finite center_x or center_r,
+    an alpha that is negative or not finite, or feature_names that are
+    neither null nor a list of strings, is a MalformedFile that names the
+    field; shapes that disagree with p, d or each other are a ShapeMismatch.
     """
     try:
         with reading(path) as fh:
@@ -217,6 +218,9 @@ def load_model(path):
     except json.JSONDecodeError as exc:
         raise MalformedFile(path, exc.lineno, exc.msg) from exc
     try:
+        for key in ("schema_version", "p", "d"):
+            if type(doc[key]) is not int:         # json reads an integer as int, true as bool
+                raise MalformedFile(path, 1, f"{key} must be an integer, got {doc[key]!r}")
         if doc["schema_version"] != SCHEMA_VERSION:
             raise MalformedFile(path, 1, f"unsupported schema_version {doc['schema_version']}")
         params = ModelParams(S=doc["S"], W=doc["W"], beta=doc["beta"],

@@ -129,8 +129,8 @@ class Dataset:
     """Foreground matrix X with responses r, plus background matrix Y.
 
     Construction checks that X (n x p) and Y (m x p) are 2-d with the same
-    column count, that r has length n, that every entry is finite and that
-    feature_names, if given, has length p; it raises ShapeMismatch
+    column count p >= 1, that r has length n, that every entry is finite
+    and that feature_names, if given, has length p; it raises ShapeMismatch
     otherwise.  The arrays are stored as float64, without a copy when they
     already are, so an in-place edit afterwards is not re-checked.  Equality
     and hash are by identity, as for ModelParams.
@@ -160,6 +160,8 @@ class Dataset:
             raise ShapeMismatch("X and Y must be 2-d arrays")
         if X.shape[1] != Y.shape[1]:
             raise ShapeMismatch(f"X has {X.shape[1]} columns but Y has {Y.shape[1]}")
+        if X.shape[1] == 0:
+            raise ShapeMismatch("X and Y have no feature columns; p must be >= 1")
         if r.shape != (X.shape[0],):
             raise ShapeMismatch(f"r must have length n={X.shape[0]}, got shape {r.shape}")
         if self.feature_names is not None and len(self.feature_names) != X.shape[1]:
@@ -245,14 +247,10 @@ def _unpack(theta, p, d):
     return params
 
 
-def _grad_vector(params, grad):
-    # chain rule: d/d log(v) = v * d/dv
-    return np.concatenate([
-        grad.dS.ravel(),
-        grad.dW.ravel(),
-        grad.dbeta,
-        [params.sigma2 * grad.dsigma2, params.tau2 * grad.dtau2],
-    ])
+def _gradient_set(g, p, d):
+    """GradientSet of a natural-scale packed gradient; its blocks are views of g."""
+    dS, dW, dbeta = _blocks(g, p, d)
+    return GradientSet(dS=dS, dW=dW, dbeta=dbeta, dsigma2=float(g[-2]), dtau2=float(g[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +356,15 @@ def _evaluate(params, data, alpha, want_grad, sq_norms=None):
 
     sq_norms is _squared_norms(data, ...) where the caller evaluates the same
     data many times, as fit does; without it they are computed here.
+    Returns (ll, None), or with want_grad (ll, g): g is the gradient packed as
+    _pack lays theta out, on the natural scale (d/dsigma2 and d/dtau2 last).
 
     log p = log N(X; 0, Q) + log N(r | X) + alpha log N(Y; 0, P), with both
     Gaussian terms from _gaussian.  r | x is N(v' x, s), v = pred_coef and
     s = pred_var; this term is written here alone, from the residual
     e = r - X v and, for the gradient, X' e, w = Q^-1 X' e and U' w.
     At a tiny noise variance the gradient overflows into inf - inf: a
-    non-finite ll is -inf and a non-finite gradient a FactorizationError.
+    non-finite ll is -inf and a non-finite g, tested once, a FactorizationError.
     Every caller holds one np.errstate(all="ignore") around the call, so
     neither shows as a floating-point warning.
     """
@@ -403,14 +403,12 @@ def _evaluate(params, data, alpha, want_grad, sq_norms=None):
     if use_bg:
         dU[:, :d] += alpha * gy[0]
         dsigma2 += alpha * gy[1]
-    dS = dU[:, :d]
     dW = dU[:, d:] + (w / s - 2.0 * kappa * v)[:, None] * beta
     dbeta = 2.0 * kappa * (ws.A @ beta) + wU[d:] / s
-    if not (np.isfinite(dsigma2) and np.isfinite(kappa) and np.isfinite(dS).all()
-            and np.isfinite(dW).all() and np.isfinite(dbeta).all()):
+    g = np.concatenate([dU[:, :d].ravel(), dW.ravel(), dbeta, [dsigma2, kappa]])
+    if not np.isfinite(g).all():
         raise FactorizationError("gradient is not finite (noise-variance underflow)")
-    return ll, GradientSet(dS=dS, dW=dW, dbeta=dbeta,
-                           dsigma2=float(dsigma2), dtau2=float(kappa))
+    return ll, g
 
 
 def log_likelihood(params: ModelParams, data: Dataset, alpha: float = 1.0) -> float:
@@ -436,7 +434,8 @@ def log_likelihood_and_grad(params, data, alpha=1.0):
     """
     _check_pair(params, data, alpha)
     with np.errstate(all="ignore"):
-        return _evaluate(params, data, alpha, want_grad=True)
+        ll, g = _evaluate(params, data, alpha, want_grad=True)
+    return ll, _gradient_set(g, params.p, params.d)
 
 
 def finite_diff_gradient(params: ModelParams, data: Dataset, alpha: float = 1.0,
@@ -461,10 +460,9 @@ def finite_diff_gradient(params: ModelParams, data: Dataset, alpha: float = 1.0,
             minus[i] -= step
             g[i] = (_evaluate(_unpack(plus, p, d), data, alpha, want_grad=False)[0]
                     - _evaluate(_unpack(minus, p, d), data, alpha, want_grad=False)[0]) / (2 * step)
-    dS, dW, dbeta = _blocks(g, p, d)
-    return GradientSet(dS=dS, dW=dW, dbeta=dbeta,
-                       dsigma2=float(g[-2] / params.sigma2),
-                       dtau2=float(g[-1] / params.tau2))
+    g[-2] /= params.sigma2
+    g[-1] /= params.tau2
+    return _gradient_set(g, p, d)
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,13 @@ is the same matrix with other rounding, and tests/test_optimizer.py holds
 it to the recursion.  That inverse, like model._factor's factors, calls
 the LAPACK gufunc behind np.linalg.inv without the wrapper, whose checks
 cost more than the arithmetic; tests/test_model.py::TestFactor pins the
-bits against np.linalg.  The objective tests theta once and builds its
-ModelParams unchecked, under one np.errstate, so a trial that overflows or
-fails to factor is a failed trial (-inf), not a warning.  The data's
-squared norms |X|^2 and |Y|^2 are computed once per fit, not per call.
+bits against np.linalg.  The problem is one value, _Objective: the
+centres, the centred data, their squared norms |X|^2 and |Y|^2 (computed
+once per fit, not per call), alpha and d.  A call tests theta once and
+builds its ModelParams unchecked, under one np.errstate, so a trial that
+overflows or fails to factor is a failed trial (-inf), not a warning.  fit
+checks its inputs, builds the objective, solves from each start and keeps
+the best; the result holds no reference to the objective.
 
 The pca_warm_start start finds its top-d subspaces by randomized subspace
 iteration (Halko, Martinsson & Tropp 2011, SIAM Rev. 53:217, Alg. 4.4):
@@ -46,8 +49,8 @@ import numpy as np
 
 from .errors import (DegenerateData, FactorizationError, NonFiniteObjective,
                      ShapeMismatch)
-from .model import (Dataset, ModelParams, predict_rows, _evaluate, _grad_vector,
-                    _integral_fields, _inv, _pack, _squared_norms, _unpack)
+from .model import (Dataset, ModelParams, predict_rows, _evaluate, _integral_fields,
+                    _inv, _pack, _squared_norms, _unpack)
 
 MODES = ("line_search_ascent", "adaptive_moment")
 INITS = ("random_normal", "pca_warm_start")
@@ -314,6 +317,52 @@ def _run_adaptive_moment(fun, theta0, ll0, g0, config):
 # Public fit
 # ---------------------------------------------------------------------------
 
+class _Objective:
+    """The problem fit solves, as a value: theta -> (ll, g) on centred data.
+
+    Holds the centres (the pooled foreground/background column mean, or the
+    foreground's when alpha = 0 or there is no background; the response
+    mean), the centred Dataset, its squared norms, alpha and d.  A call
+    tests theta once and builds its ModelParams unchecked, under one
+    np.errstate: a theta that is not finite, a variance whose exp overflows,
+    a failed factor or a non-finite gradient is a failed trial (-inf, None),
+    not a warning.  g is _evaluate's packed gradient with its sigma2 and
+    tau2 entries scaled in place to the log scale.  _evaluate is looked up
+    as a module global at each call, so a hook set there sees every call.
+    """
+
+    def __init__(self, data, alpha, d):
+        X, Y, r = data.X, data.Y, data.r
+        # with alpha=0 the background must not influence the fit, centering included,
+        # and no term reads it, so it is not copied
+        use_bg = data.m > 0 and alpha > 0
+        self.center_x = ((X.sum(axis=0) + Y.sum(axis=0)) / (data.n + data.m) if use_bg
+                         else X.mean(axis=0))
+        self.center_r = float(r.mean())
+        self.data = Dataset(X=X - self.center_x, r=r - self.center_r,
+                            Y=Y - self.center_x if use_bg else Y[:0],
+                            feature_names=data.feature_names)
+        self.sq_norms = _squared_norms(self.data, use_bg)
+        self.alpha, self.d = alpha, d
+
+    def __call__(self, theta):
+        with np.errstate(all="ignore"):
+            params = _unpack(theta, self.data.p, self.d)
+            if not (np.isfinite(theta).all() and max(params.sigma2, params.tau2) < np.inf):
+                return -np.inf, None
+            try:
+                ll, g = _evaluate(params, self.data, self.alpha, want_grad=True,
+                                  sq_norms=self.sq_norms)
+            except (FactorizationError, ShapeMismatch):
+                return -np.inf, None
+            # chain rule: d/d log(v) = v d/dv, which may overflow
+            g[-2] *= params.sigma2
+            g[-1] *= params.tau2
+        if not np.isfinite(g[-2:]).all():
+            return -np.inf, None
+        return ll, g
+
+
 def fit(data: Dataset, config: FitConfig) -> FitResult:
     """Maximum-likelihood estimate over config.restarts + 1 seeded starts.
 
@@ -321,7 +370,9 @@ def fit(data: Dataset, config: FitConfig) -> FitResult:
     start whatever config.restarts says, so it runs a single solve.  A
     constant response raises DegenerateData: beta = 0 fits it exactly, and
     the likelihood grows without bound as tau2 -> 0.  The test is exact:
-    every r equals r[0], so one foreground row is constant too.
+    every r equals r[0], so one foreground row is constant too.  The
+    objective, and with it the centred copy of the data, is not kept on the
+    result.
     """
     t0 = time.perf_counter()
     if data.n == 0:
@@ -329,36 +380,7 @@ def fit(data: Dataset, config: FitConfig) -> FitResult:
     if np.all(data.r == data.r[0]):
         raise DegenerateData("constant response: the likelihood is unbounded as tau2 -> 0")
 
-    X, Y, r = data.X, data.Y, data.r
-    # with alpha=0 the background must not influence the fit, centering included,
-    # and no term reads it, so it is not copied
-    use_bg = data.m > 0 and config.alpha > 0
-    center_x = ((X.sum(axis=0) + Y.sum(axis=0)) / (data.n + data.m) if use_bg
-                else X.mean(axis=0))
-    center_r = float(r.mean())
-    centered = Dataset(X=X - center_x, r=r - center_r, Y=Y - center_x if use_bg else Y[:0],
-                       feature_names=data.feature_names)
-
-    p, d = data.p, config.d
-    sq_norms = _squared_norms(centered, use_bg)
-
-    def fun(theta):
-        # theta is tested here once, not by ModelParams; under one errstate an
-        # overflow or a failed factor is a failed trial, not a warning
-        with np.errstate(all="ignore"):
-            params = _unpack(theta, p, d)
-            if not (np.isfinite(theta).all() and max(params.sigma2, params.tau2) < np.inf):
-                return -np.inf, None
-            try:
-                ll, grad = _evaluate(params, centered, config.alpha, want_grad=True,
-                                     sq_norms=sq_norms)
-                g = _grad_vector(params, grad)
-            except (FactorizationError, ShapeMismatch):
-                return -np.inf, None
-        if not np.isfinite(g).all():
-            return -np.inf, None
-        return ll, g
-
+    objective = _Objective(data, config.alpha, config.d)
     runner = (partial(_run_line_search, n=data.n) if config.mode == "line_search_ascent"
               else _run_adaptive_moment)
 
@@ -367,18 +389,18 @@ def fit(data: Dataset, config: FitConfig) -> FitResult:
     best = None
     for restart in range(starts):
         sub = replace(config, seed=_restart_seed(config.seed, restart))
-        theta0 = _pack(initialize(centered, sub))
-        ll0, g0 = fun(theta0)
+        theta0 = _pack(initialize(objective.data, sub))
+        ll0, g0 = objective(theta0)
         if not np.isfinite(ll0):
             raise NonFiniteObjective("objective non-finite at the starting point")
-        theta, g, trace, converged = runner(fun, theta0, ll0, g0, config)
+        theta, g, trace, converged = runner(objective, theta0, ll0, g0, config)
         if best is None or trace[-1] > best[2][-1]:
             best = (theta, g, trace, converged, restart)
 
     theta, g, trace, converged, restart = best
-    return FitResult(params=_unpack(theta, p, d), center_x=center_x, center_r=center_r,
-                     ll_trace=trace, converged=converged, best_restart=restart,
-                     wall_time_seconds=time.perf_counter() - t0,
+    return FitResult(params=_unpack(theta, data.p, config.d), center_x=objective.center_x,
+                     center_r=objective.center_r, ll_trace=trace, converged=converged,
+                     best_restart=restart, wall_time_seconds=time.perf_counter() - t0,
                      grad_inf_norm=float(np.max(np.abs(g))))
 
 

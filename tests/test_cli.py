@@ -131,6 +131,22 @@ class TestFitCommand:
                        "--out", str(tmp_path / "m.json")) == 4
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["fit", "cv"])
+    def test_no_feature_columns_exit_3(self, tmp_path, capsys, command):
+        # a foreground table of only the response column is p = 0: a shape error, as
+        # every other d > p is, not the degenerate data that a fit would call it
+        fg = tmp_path / "fg.csv"
+        bg = tmp_path / "bg.csv"
+        fg.write_text("response\n0\n1\n2\n")
+        bg.write_text("\n")
+        out = tmp_path / "m.json"
+        tail = (["-d", "1", "--out", str(out)] if command == "fit"
+                else ["--d-grid", "1", "--k", "2"])
+        assert run_cli(command, "--foreground", str(fg), "--background", str(bg),
+                       "--response-col", "response", *tail) == 3
+        assert "no feature columns" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_constant_response_exit_4_without_model(self, dataset_files, tmp_path, capsys):
         _, bg, data, names = dataset_files
         fg = tmp_path / "const.csv"

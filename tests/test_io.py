@@ -343,6 +343,21 @@ class TestModelFiles:
         with pytest.raises(MalformedFile):
             load_model(path)
 
+    @pytest.mark.parametrize("key", ["schema_version", "p", "d"])
+    @pytest.mark.parametrize("spell", [str, lambda v: v == 1, lambda v: None, float],
+                             ids=["string", "bool", "null", "float"])
+    def test_integer_field_not_a_json_integer(self, tmp_path, rng, capsys, key, spell):
+        # the right value as a string, a boolean, null or a float: true == 1 and
+        # 2.0 == 2 in Python, but neither is a JSON integer
+        doc = model_to_dict(random_params(rng, 2, 1), np.zeros(2), 0.0, 1.0, {})
+        doc[key] = spell(doc[key])
+        path = tmp_path / "m.json"
+        save_model(path, doc)
+        with pytest.raises(MalformedFile, match=f"{key} must be an integer"):
+            load_model(path)
+        assert cli_main(["rank", "--model", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+        capsys.readouterr()
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("{not json")

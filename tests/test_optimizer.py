@@ -12,7 +12,7 @@ from contrareg import (Dataset, DegenerateData, FitConfig, GenConfig,
                        build_workspace, fit, generate, generate_lines, initialize,
                        latent_posterior, pca_linear_baseline, predict, r_squared)
 from contrareg import optimizer
-from contrareg.model import _evaluate, _grad_vector
+from contrareg.model import _pack, _unpack, log_likelihood_and_grad
 
 from conftest import svd_loadings
 
@@ -310,38 +310,39 @@ class TestFit:
         calls = []
 
         def nan_once(*args, **kwargs):
-            ll, grad = evaluate(*args, **kwargs)
+            ll, g = evaluate(*args, **kwargs)
             calls.append(ll)
             if len(calls) == 2:
-                grad = replace(grad, dsigma2=float("nan"))
-            return ll, grad
+                g[-2] = np.nan
+            return ll, g
 
         monkeypatch.setattr(optimizer, "_evaluate", nan_once)
+        objective = optimizer._Objective(data, 1.0, 2)
+        theta = _pack(initialize(objective.data, FitConfig(d=2, seed=9)))
+        assert np.isfinite(objective(theta)[0])
+        assert objective(theta) == (-np.inf, None)
+        calls.clear()
         result = fit(data, FitConfig(d=2, max_iter=150, restarts=0, seed=9))
         assert calls[1] > calls[0]
         assert np.isfinite(result.grad_inf_norm)
         assert np.all(np.isfinite(result.ll_trace))
 
-    def test_failed_trials_need_no_model_params_checks(self, monkeypatch):
+    def test_failed_trials_need_no_model_params_checks(self):
         # the objective tests theta once and builds ModelParams unchecked: each of
         # these trials is still a failed trial, with no warning and nothing raised
         data, _ = generate(GenConfig(n=40, m=40, p=4, d=2, seed=9))
+        objective = optimizer._Objective(data, 1.0, 2)
+        theta = _pack(initialize(objective.data, FitConfig(d=2, seed=9)))
         trials = {"nan S": (0, np.nan), "inf W": (8, np.inf), "-inf beta": (16, -np.inf),
                   "sigma2 overflows": (-2, 1e3), "sigma2 underflows": (-2, -1e3),
                   "tau2 overflows": (-1, 1e3), "tau2 underflows": (-1, -1e3)}
         outcomes = {}
-
-        def probe(fun, theta, ll, g, config, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             for name, (index, value) in trials.items():
                 trial = theta.copy()
                 trial[index] = value
-                outcomes[name] = fun(trial)
-            return theta, g, [ll], False
-
-        monkeypatch.setattr(optimizer, "_run_line_search", probe)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            fit(data, FitConfig(d=2, restarts=0, seed=9))
+                outcomes[name] = objective(trial)
         assert outcomes == {name: (-np.inf, None) for name in trials}
 
     def test_adaptive_moment_retries_from_the_stored_start(self, monkeypatch):
@@ -378,11 +379,30 @@ class TestFit:
         data, _ = generate(GenConfig(n=40, m=40, p=4, d=2, seed=19))
         config = FitConfig(d=2, mode=mode, max_iter=120, restarts=1, seed=19)
         result = fit(data, config)
-        centered = Dataset(X=data.X - result.center_x, r=data.r - result.center_r,
-                           Y=data.Y - result.center_x)
-        ll, grad = _evaluate(result.params, centered, config.alpha, want_grad=True)
+        objective = optimizer._Objective(data, config.alpha, config.d)
+        theta = _pack(result.params)
+        # the log-scale round trip of the variances is exact here, so theta is the solver's
+        assert _params_equal(_unpack(theta, 4, 2), result.params)
+        ll, g = objective(theta)
         assert result.final_ll == ll
-        assert result.grad_inf_norm == np.max(np.abs(_grad_vector(result.params, grad)))
+        assert result.grad_inf_norm == np.max(np.abs(g))
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_objective_gradient_is_log_likelihood_and_grad_packed(self, alpha):
+        # the packed gradient is the package's one internal form: GradientSet's blocks
+        # are views of it, and the objective only rescales its last two entries
+        data, _ = generate(GenConfig(n=40, m=30, p=5, d=2, seed=21))
+        objective = optimizer._Objective(data, alpha, 2)
+        theta = _pack(initialize(objective.data, FitConfig(d=2, alpha=alpha, seed=21)))
+        theta[:-2] += 0.1          # beta off zero, so every block of g is nonzero
+        params = _unpack(theta, 5, 2)
+        ll, g = objective(theta)
+        ll_ref, grad = log_likelihood_and_grad(params, objective.data, alpha)
+        assert ll == ll_ref
+        assert np.array_equal(g[:-2], np.concatenate([grad.dS.ravel(), grad.dW.ravel(),
+                                                      grad.dbeta]))
+        assert g[-2] == params.sigma2 * grad.dsigma2 and g[-1] == params.tau2 * grad.dtau2
+        assert np.count_nonzero(g) == g.size
 
     def test_p_much_larger_than_n(self):
         # p = 20 000: one dense p x p matrix would take 3.2 GB
@@ -452,6 +472,20 @@ class TestFit:
         finally:
             tracemalloc.stop()
         assert peak <= 0.75 * (data.X.nbytes + data.Y.nbytes)
+
+    def test_no_centred_copy_outlives_fit(self):
+        # the objective holds the centred data; the result keeps no reference to it
+        rng = np.random.default_rng(6)
+        data = Dataset(X=rng.standard_normal((1000, 100)), r=rng.standard_normal(1000),
+                       Y=rng.standard_normal((1000, 100)))
+        tracemalloc.start()
+        try:
+            result = fit(data, FitConfig(d=2, max_iter=3, restarts=0))
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.iterations == 3
+        assert current <= 0.1 * (data.X.nbytes + data.Y.nbytes)
 
     def test_predict_applies_centering(self):
         data, _ = generate(GenConfig(n=50, m=50, p=3, d=1, seed=2))
