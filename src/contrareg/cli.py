@@ -71,6 +71,8 @@ def _fit_config(args, d):
 
 def _load_dataset(args):
     X, fg_names, r = io.read_table(args.foreground, response_col=args.response_col)
+    if not fg_names:      # the foreground's own fault, named before the background is read
+        raise ShapeMismatch(f"{args.foreground} has no feature columns; p must be >= 1")
     Y, bg_names, _ = io.read_table(args.background)
     if fg_names != bg_names:
         raise ShapeMismatch(

@@ -34,15 +34,17 @@ def read_table(path, response_col=None):
 
     The file is read once, as the lines csv would read from it.  One csv
     reader parses the header, then each record where numpy's parser
-    declines the body; an error names the line its record ends on.
+    declines the body; an error names the line its record ends on.  An
+    empty file or a blank header line is a MalformedFile at line 1, before
+    numpy sees the body.
     """
     with reading(path) as fh:
         lines = fh.readlines()
     reader = csv.reader(lines)
     try:
         header = next(reader, None)
-        if header is None:
-            raise MalformedFile(path, 1, "empty file")
+        if not header:                       # csv reads a blank line as no cells
+            raise MalformedFile(path, 1, "empty file" if header is None else "blank header line")
         if len(set(header)) != len(header):
             raise MalformedFile(path, 1, "duplicate column names")
         if response_col not in (None, *header):
@@ -203,11 +205,26 @@ def save_model(path, doc):
         fh.write("\n")
 
 
+# the number fields of a model file and their depth: 0 a number, 1 a list, 2 a list of lists
+_NUMBER_FIELDS = {"S": 2, "W": 2, "beta": 1, "sigma2": 0, "tau2": 0, "center_x": 1,
+                  "center_r": 0, "alpha": 0}
+_NUMBER_SHAPES = ("a JSON number", "a list of JSON numbers", "a list of lists of JSON numbers")
+
+
+def _numbers(value, depth):
+    """Whether value is a JSON number (depth 0) or a list of depth - 1 such values."""
+    if depth == 0:
+        return type(value) in (int, float)       # json reads true as bool and "1" as str
+    return type(value) is list and all(_numbers(v, depth - 1) for v in value)
+
+
 def load_model(path):
     """Load a model file; returns (params, center_x, center_r, alpha, names, meta).
 
     The file is opened through reading(), as a table is.  A schema_version,
-    p or d that is not a JSON integer, a non-finite center_x or center_r,
+    p or d that is not a JSON integer, a number field (sigma2, tau2, alpha,
+    center_r) that is not a JSON number or an array field (S, W, beta,
+    center_x) that is not a list of them, a non-finite center_x or center_r,
     an alpha that is negative or not finite, or feature_names that are
     neither null nor a list of strings, is a MalformedFile that names the
     field; shapes that disagree with p, d or each other are a ShapeMismatch.
@@ -221,6 +238,9 @@ def load_model(path):
         for key in ("schema_version", "p", "d"):
             if type(doc[key]) is not int:         # json reads an integer as int, true as bool
                 raise MalformedFile(path, 1, f"{key} must be an integer, got {doc[key]!r}")
+        for key, depth in _NUMBER_FIELDS.items():
+            if not _numbers(doc[key], depth):     # float() would take true and "0.5"
+                raise MalformedFile(path, 1, f"{key} must be {_NUMBER_SHAPES[depth]}")
         if doc["schema_version"] != SCHEMA_VERSION:
             raise MalformedFile(path, 1, f"unsupported schema_version {doc['schema_version']}")
         params = ModelParams(S=doc["S"], W=doc["W"], beta=doc["beta"],
@@ -231,7 +251,7 @@ def load_model(path):
         names = doc.get("feature_names")
         meta = doc.get("fit", {})
         p, d = doc["p"], doc["d"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedFile(path, 1, f"invalid model document: {exc}") from exc
     if not (np.all(np.isfinite(center_x)) and np.isfinite(center_r)):
         raise MalformedFile(path, 1, "center_x and center_r must be finite")

@@ -20,18 +20,23 @@ Bishop 1999; Bishop, PRML 12.2 and App. C).  The log-likelihood is
     log N(X; 0, Q) + log N(r | X) + alpha log N(Y; 0, P),
 
 and one low-rank Gaussian routine computes both Gaussian terms and their
-gradients.  It reads each data matrix Z through |Z|^2, which a fit computes
-once, and one product Z'(Z B) per evaluation with the thin p x k block B = V
-of its factor, as PPCA's likelihood reads the sample covariance (Tipping &
-Bishop 1999): B = V_Q for the foreground and B = V_P for the background.
-Q is factored for every use (build_workspace), P only where the background
-term is weighted in (_evaluate with alpha > 0).  The r | x term is written
-once, in _evaluate, from the residual e = r - X v and X'e.  An evaluation costs
-O((n + m) p d) time and O((n + m) d + p d) memory beyond the data; neither a
-p x p nor an n x p matrix is formed.  The one exception is a Gaussian whose
-U has p or more columns (p <= 2d, so Z is n x 2d at most): there the
-expanded |Z C^-1|^2 cancels, and Z C^-1 is formed to keep d/dsigma2
-accurate at a tiny sigma2.  Dense P and Q exist only in the test oracles.
+gradients.  The data enter an evaluation only through Z V and Z'(Z V), with
+V the thin p x k block of Z's factor (V_Q for the foreground, V_P for the
+background), as PPCA's likelihood reads the sample covariance (Tipping &
+Bishop 1999), and through the constants |X|^2, |Y|^2 and X'r, which a fit
+computes once: beside them, two passes over each data matrix with the
+gradient, one for the likelihood alone.  The r | x term is written once, in _evaluate, and
+reuses the foreground's products: with v = V_Q c its residual is
+e = r - (X V_Q) c and X'e = X'r - X'(X V_Q) c.  Q is factored for every use
+(build_workspace); P's Cholesky factor is the leading d x d block of Q's,
+which depends on sigma2 I + S'S alone, inverted on its own where the
+background term is weighted in (_evaluate with alpha > 0).  An evaluation
+costs O((n + m) p d) time and O((n + m) d + p d) memory beyond the data;
+neither a p x p nor an n x p matrix is formed.  The one exception is a
+Gaussian whose U has p or more columns (p <= 2d, so Z is n x 2d at most):
+there the expanded |Z C^-1|^2 cancels, and Z C^-1 is formed to keep
+d/dsigma2 accurate at a tiny sigma2.  Dense P and Q exist only in the test
+oracles.
 """
 
 from dataclasses import dataclass
@@ -177,8 +182,8 @@ class Workspace:
     restricted to the W block, and P^-1 W A beta = Q^-1 W beta.  pred_coef
     is that vector v, with predictive mean v' x; pred_var is the
     (x-independent) predictive variance tau2 + beta' A beta.  Building one
-    costs O(p d^2 + d^3).  P's own factor is read only by the background
-    term, so _evaluate computes it there.
+    costs O(p d^2 + d^3).  P's factor is read only by the background term,
+    so _evaluate takes it there from L_Q, which _workspace returns beside.
     """
 
     U: np.ndarray          # p x 2d, [S W]
@@ -258,7 +263,7 @@ def _gradient_set(g, p, d):
 # ---------------------------------------------------------------------------
 
 def _factor(U, s2, label):
-    """V = U L^-T, L^-1 and log|sigma2 I + U U'| for L L' = sigma2 I + U'U.
+    """V = U L^-T, L^-1, log|sigma2 I + U U'| and L, for L L' = sigma2 I + U'U.
 
     Call under np.errstate(all="ignore").  It calls the LAPACK gufuncs that
     np.linalg.cholesky and np.linalg.inv run, directly: the same bits,
@@ -268,10 +273,20 @@ def _factor(U, s2, label):
     FactorizationError.  TestFactor in tests/test_model.py pins the bits
     against np.linalg.
     """
-    p, k = U.shape
+    k = U.shape[1]
     M = U.T @ U
     M.ravel()[::k + 1] += s2
     L = _cholesky(M)
+    return (*_inverse_factor(U, L, s2, label), L)
+
+
+def _inverse_factor(U, L, s2, label):
+    """_factor's V, L^-1 and logdet from a Cholesky factor L of sigma2 I + U'U.
+
+    A leading block of L is the factor of the leading block of sigma2 I + U'U,
+    so _evaluate takes P's factor (U = S) from Q's (U = [S W]).
+    """
+    p, k = U.shape
     logdet = float((p - k) * np.log(s2) + 2.0 * np.log(L.diagonal()).sum())
     if not np.isfinite(logdet):
         raise FactorizationError(f"{label} is not finite, or numerically non-SPD")
@@ -282,11 +297,15 @@ def _factor(U, s2, label):
 def build_workspace(params: ModelParams) -> Workspace:
     """Small factor of Q, A and the prediction cache for a parameter value."""
     with np.errstate(all="ignore"):          # overflow and a failed factor raise below
-        return _workspace(params)
+        return _workspace(params)[0]
 
 
 def _workspace(params):
-    """build_workspace's body, for a caller already under np.errstate(all="ignore")."""
+    """build_workspace's body, for a caller already under np.errstate(all="ignore").
+
+    Returns the Workspace and the Cholesky factor L_Q of sigma2 I + U'U,
+    whose leading d x d block is P's factor.
+    """
     # construction allows zero variances (a noiseless truth); the likelihood divides by them
     if not (params.sigma2 > 0.0 and params.tau2 > 0.0):
         raise ShapeMismatch(f"sigma2 and tau2 must be positive, got {params.sigma2}, {params.tau2}")
@@ -294,14 +313,14 @@ def _workspace(params):
     d = S.shape[1]
     s2 = np.float64(params.sigma2)
     U = np.hstack([S, W])
-    V_Q, Li_Q, logdet_Q = _factor(U, s2, "sigma2 I + U'U")
+    V_Q, Li_Q, logdet_Q, L_Q = _factor(U, s2, "sigma2 I + U'U")
 
     Li_W = Li_Q[:, d:]                         # L_Q^-1 restricted to the W block
     A = s2 * (Li_W.T @ Li_W)
     pred_var = params.tau2 + float(beta @ (A @ beta))
     pred_coef = V_Q @ (Li_W @ beta)
     return Workspace(U=U, Li_Q=Li_Q, V_Q=V_Q, A=A, logdet_Q=logdet_Q,
-                     pred_var=pred_var, pred_coef=pred_coef)
+                     pred_var=pred_var, pred_coef=pred_coef), L_Q
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +334,10 @@ def _check_pair(params, data, alpha):
         raise ShapeMismatch(f"alpha must be finite and nonnegative, got {alpha}")
 
 
-def _squared_norms(data, use_bg):
-    """|X|^2 and |Y|^2 (0 without the background term): _gaussian's data constants."""
-    return np.vdot(data.X, data.X), (np.vdot(data.Y, data.Y) if use_bg else 0.0)
+def _data_constants(data, use_bg):
+    """|X|^2, |Y|^2 (0 without the background term) and X'r: _evaluate's data constants."""
+    X = data.X
+    return np.vdot(X, X), (np.vdot(data.Y, data.Y) if use_bg else 0.0), data.r @ X
 
 
 def _gaussian(Z, quad, V, Li, logdet, s2, want_grad):
@@ -325,10 +345,11 @@ def _gaussian(Z, quad, V, Li, logdet, s2, want_grad):
 
     quad is |Z|^2, a constant of the data that a fit computes once.
     V, Li and logdet are _factor's for U: C^-1 = (I - V V') / sigma2 and
-    C^-1 U = V Li.  Returns (ll, None), or with want_grad (ll, (d/dU,
-    d/dsigma2)).  The data enter once, through Z V and G = Z'(Z V):
-    K = (Z V)'(Z V) gives Z C^-1 U = Z V Li, (Z C^-1)' Z C^-1 U =
-    (G - V K) Li / sigma2 and
+    C^-1 U = V Li.  Returns (ll, None, Z V, None), or with want_grad
+    (ll, (d/dU, d/dsigma2), Z V, G): the products it reads the data through,
+    which the caller reuses.  The data enter once, through Z V and
+    G = Z'(Z V): K = (Z V)'(Z V) gives Z C^-1 U = Z V Li,
+    (Z C^-1)' Z C^-1 U = (G - V K) Li / sigma2 and
     |Z C^-1|^2 = (|Z|^2 - tr K) / sigma2^2 - tr(Li' K Li) / sigma2.  When U
     has p or more columns no direction carries only noise and that
     difference cancels, so there Z C^-1 is formed instead (p <= 2d, tiny).
@@ -340,51 +361,57 @@ def _gaussian(Z, quad, V, Li, logdet, s2, want_grad):
     trK = K.trace()
     ll = -0.5 * (n * (logdet + p * LOG_2PI) + (quad - trK) / s2)
     if not want_grad:
-        return ll, None
-    dU = ((Z.T @ ZV - V @ K) / s2 - n * V) @ Li
+        return ll, None, ZV, None
+    G = Z.T @ ZV
+    dU = ((G - V @ K) / s2 - n * V) @ Li
     if k < p:
         zci2 = (quad - trK) / (s2 * s2) - np.vdot(Li, K @ Li) / s2
     else:
         ZCi = (Z - ZV @ V.T) / s2
         zci2 = np.vdot(ZCi, ZCi)
     ds2 = 0.5 * (zci2 - n * (p - np.vdot(V, V)) / s2)
-    return ll, (dU, ds2)
+    return ll, (dU, ds2), ZV, G
 
 
-def _evaluate(params, data, alpha, want_grad, sq_norms=None):
+def _evaluate(params, data, alpha, want_grad, constants=None):
     """Shared evaluation of the log-likelihood and (optionally) its gradient.
 
-    sq_norms is _squared_norms(data, ...) where the caller evaluates the same
-    data many times, as fit does; without it they are computed here.
+    constants is _data_constants(data, ...) where the caller evaluates the
+    same data many times, as fit does; without it they are computed here.
     Returns (ll, None), or with want_grad (ll, g): g is the gradient packed as
     _pack lays theta out, on the natural scale (d/dsigma2 and d/dtau2 last).
 
     log p = log N(X; 0, Q) + log N(r | X) + alpha log N(Y; 0, P), with both
-    Gaussian terms from _gaussian.  r | x is N(v' x, s), v = pred_coef and
+    Gaussian terms from _gaussian.  r | x is N(v' x, s), v = pred_coef =
+    V_Q c with c = L_Q^-1 restricted to the W block times beta, and
     s = pred_var; this term is written here alone, from the residual
-    e = r - X v and, for the gradient, X' e, w = Q^-1 X' e and U' w.
-    At a tiny noise variance the gradient overflows into inf - inf: a
-    non-finite ll is -inf and a non-finite g, tested once, a FactorizationError.
-    Every caller holds one np.errstate(all="ignore") around the call, so
-    neither shows as a floating-point warning.
+    e = r - (X V_Q) c and, for the gradient, X'e = X'r - G c,
+    w = Q^-1 X'e and U'w, where X V_Q and G = X'(X V_Q) are the
+    foreground Gaussian's products.  The background's factor is the leading
+    d x d block of L_Q, inverted on its own.  At a tiny noise variance the
+    gradient overflows into inf - inf: a non-finite ll is -inf and a
+    non-finite g, tested once, a FactorizationError.  Every caller holds one
+    np.errstate(all="ignore") around the call, so neither shows as a
+    floating-point warning.
     """
-    ws = _workspace(params)
+    ws, L_Q = _workspace(params)
     d = params.d
     s2 = np.float64(params.sigma2)
     beta = params.beta
-    X, n = data.X, data.n
+    n = data.n
     v = ws.pred_coef                               # Q^-1 W beta = P^-1 W A beta
     s = np.float64(ws.pred_var)                    # tau2 + beta' A beta
     use_bg = alpha > 0.0 and data.m > 0
-    quad_x, quad_y = _squared_norms(data, use_bg) if sq_norms is None else sq_norms
+    quad_x, quad_y, Xr = _data_constants(data, use_bg) if constants is None else constants
 
-    ll, gx = _gaussian(X, quad_x, ws.V_Q, ws.Li_Q, ws.logdet_Q, s2, want_grad)
-    e = data.r - X @ v
+    ll, gx, XV, G = _gaussian(data.X, quad_x, ws.V_Q, ws.Li_Q, ws.logdet_Q, s2, want_grad)
+    c = ws.Li_Q[:, d:] @ beta                      # v = V_Q c
+    e = data.r - XV @ c
     E2 = e @ e
     ll += -0.5 * (n * (np.log(s) + LOG_2PI) + E2 / s)
     if use_bg:
-        ll_y, gy = _gaussian(data.Y, quad_y, *_factor(params.S, s2, "sigma2 I + S'S"), s2,
-                             want_grad)
+        factor_P = _inverse_factor(params.S, L_Q[:d, :d], s2, "sigma2 I + S'S")
+        ll_y, gy, _, _ = _gaussian(data.Y, quad_y, *factor_P, s2, want_grad)
         ll += alpha * ll_y
     if not np.isfinite(ll):
         ll = -np.inf
@@ -392,7 +419,7 @@ def _evaluate(params, data, alpha, want_grad, sq_norms=None):
         return ll, None
 
     dU, dsigma2 = gx
-    Xe = X.T @ e
+    Xe = Xr - G @ c                                # X'e without a pass over X
     VXe = ws.V_Q.T @ Xe
     w = (Xe - ws.V_Q @ VXe) / s2                   # Q^-1 X' e
     wU = ws.Li_Q.T @ VXe                           # U' w
@@ -453,13 +480,14 @@ def finite_diff_gradient(params: ModelParams, data: Dataset, alpha: float = 1.0,
     p, d = params.p, params.d
     theta = _pack(params)
     g = np.empty_like(theta)
+    constants = _data_constants(data, alpha > 0.0 and data.m > 0)
     with np.errstate(all="ignore"):
         for i in range(theta.size):
             plus, minus = theta.copy(), theta.copy()
             plus[i] += step
             minus[i] -= step
-            g[i] = (_evaluate(_unpack(plus, p, d), data, alpha, want_grad=False)[0]
-                    - _evaluate(_unpack(minus, p, d), data, alpha, want_grad=False)[0]) / (2 * step)
+            g[i] = (_evaluate(_unpack(plus, p, d), data, alpha, False, constants)[0]
+                    - _evaluate(_unpack(minus, p, d), data, alpha, False, constants)[0]) / (2 * step)
     g[-2] /= params.sigma2
     g[-1] /= params.tau2
     return _gradient_set(g, p, d)
@@ -493,11 +521,20 @@ def predict(params: ModelParams, x_star) -> PredictiveDist:
 def predict_rows(params: ModelParams, X, center_x, center_r):
     """Predictive means and (constant) variance for rows of X, re-applying the fit's centering."""
     X = _rows(X, params.p)
-    ws = build_workspace(params)
+    return _predict_rows(build_workspace(params), X, center_x, center_r)
+
+
+def _predict_rows(ws, X, center_x, center_r):
+    """predict_rows from a workspace, for checked rows X.
+
+    The rows are centred _ROW_BLOCK at a time, so no centred copy of X is
+    formed, and each mean is its own dot product: a row's bits do not depend
+    on the rows predicted with it.
+    """
     means = np.empty(len(X))
-    for start in range(0, len(X), _ROW_BLOCK):      # no centred copy of X
+    for start in range(0, len(X), _ROW_BLOCK):
         stop = start + _ROW_BLOCK
-        np.matmul(X[start:stop] - center_x, ws.pred_coef, out=means[start:stop])
+        np.matmul((X[start:stop] - center_x)[:, None], ws.pred_coef, out=means[start:stop, None])
     return means + center_r, ws.pred_var
 
 

@@ -24,12 +24,13 @@ it to the recursion.  That inverse, like model._factor's factors, calls
 the LAPACK gufunc behind np.linalg.inv without the wrapper, whose checks
 cost more than the arithmetic; tests/test_model.py::TestFactor pins the
 bits against np.linalg.  The problem is one value, _Objective: the
-centres, the centred data, their squared norms |X|^2 and |Y|^2 (computed
+centres, the centred data, their constants |X|^2, |Y|^2 and X'r (computed
 once per fit, not per call), alpha and d.  A call tests theta once and
 builds its ModelParams unchecked, under one np.errstate, so a trial that
 overflows or fails to factor is a failed trial (-inf), not a warning.  fit
 checks its inputs, builds the objective, solves from each start and keeps
-the best; the result holds no reference to the objective.
+the best; the result holds no reference to the objective.  FitResult.predict
+builds the fitted predictive map once, on first use, and reuses it.
 
 The pca_warm_start start finds its top-d subspaces by randomized subspace
 iteration (Halko, Martinsson & Tropp 2011, SIAM Rev. 53:217, Alg. 4.4):
@@ -43,14 +44,14 @@ components; it is the package's only PCA routine.
 
 import time
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import (DegenerateData, FactorizationError, NonFiniteObjective,
                      ShapeMismatch)
-from .model import (Dataset, ModelParams, predict_rows, _evaluate, _integral_fields,
-                    _inv, _pack, _squared_norms, _unpack)
+from .model import (Dataset, ModelParams, build_workspace, _data_constants, _evaluate,
+                    _integral_fields, _inv, _pack, _predict_rows, _rows, _unpack)
 
 MODES = ("line_search_ascent", "adaptive_moment")
 INITS = ("random_normal", "pca_warm_start")
@@ -128,8 +129,17 @@ class FitResult:
         return len(self.ll_trace) - 1
 
     def predict(self, X):
-        """Predictive means and (constant) variance for rows of X."""
-        return predict_rows(self.params, X, self.center_x, self.center_r)
+        """Predictive means and (constant) variance for rows of X, as model.predict_rows.
+
+        The predictive map is built from params once, on the first call, and
+        every later call reuses it.
+        """
+        X = _rows(X, self.params.p)
+        return _predict_rows(self._workspace, X, self.center_x, self.center_r)
+
+    @cached_property
+    def _workspace(self):
+        return build_workspace(self.params)
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +332,14 @@ class _Objective:
 
     Holds the centres (the pooled foreground/background column mean, or the
     foreground's when alpha = 0 or there is no background; the response
-    mean), the centred Dataset, its squared norms, alpha and d.  A call
-    tests theta once and builds its ModelParams unchecked, under one
-    np.errstate: a theta that is not finite, a variance whose exp overflows,
-    a failed factor or a non-finite gradient is a failed trial (-inf, None),
-    not a warning.  g is _evaluate's packed gradient with its sigma2 and
-    tau2 entries scaled in place to the log scale.  _evaluate is looked up
-    as a module global at each call, so a hook set there sees every call.
+    mean), the centred Dataset, its constants (model._data_constants),
+    alpha and d.  A call tests theta once and builds its ModelParams
+    unchecked, under one np.errstate: a theta that is not finite, a variance
+    whose exp overflows, a failed factor or a non-finite gradient is a
+    failed trial (-inf, None), not a warning.  g is _evaluate's packed
+    gradient with its sigma2 and tau2 entries scaled in place to the log
+    scale.  _evaluate is looked up as a module global at each call, so a
+    hook set there sees every call.
     """
 
     def __init__(self, data, alpha, d):
@@ -342,7 +353,7 @@ class _Objective:
         self.data = Dataset(X=X - self.center_x, r=r - self.center_r,
                             Y=Y - self.center_x if use_bg else Y[:0],
                             feature_names=data.feature_names)
-        self.sq_norms = _squared_norms(self.data, use_bg)
+        self.constants = _data_constants(self.data, use_bg)
         self.alpha, self.d = alpha, d
 
     def __call__(self, theta):
@@ -352,7 +363,7 @@ class _Objective:
                 return -np.inf, None
             try:
                 ll, g = _evaluate(params, self.data, self.alpha, want_grad=True,
-                                  sq_norms=self.sq_norms)
+                                  constants=self.constants)
             except (FactorizationError, ShapeMismatch):
                 return -np.inf, None
             # chain rule: d/d log(v) = v d/dv, which may overflow

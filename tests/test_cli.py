@@ -147,6 +147,24 @@ class TestFitCommand:
         assert "no feature columns" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("table", ["foreground", "background"])
+    def test_blank_header_exit_2_without_warning(self, dataset_files, tmp_path, table):
+        # a blank first line is a malformed table at line 1, before numpy reads the body
+        fg, bg, _, _ = dataset_files
+        blank = tmp_path / "blank.csv"
+        blank.write_text("\n\n\n")
+        paths = {"foreground": fg, "background": bg, table: blank}
+        out = tmp_path / "m.json"
+        proc = subprocess.run([sys.executable, "-m", "contrareg.cli", "fit",
+                               "--foreground", str(paths["foreground"]),
+                               "--background", str(paths["background"]),
+                               "--response-col", "response", "-d", "1", "--out", str(out)],
+                              env=SRC_ENV, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert f"{blank}:1: blank header line" in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert not out.exists()
+
     def test_constant_response_exit_4_without_model(self, dataset_files, tmp_path, capsys):
         _, bg, data, names = dataset_files
         fg = tmp_path / "const.csv"

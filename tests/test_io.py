@@ -143,6 +143,16 @@ class TestTables:
         with pytest.raises(MalformedFile):
             read_table(path)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["\n", "\n\n\n", "\r\n1,2\r\n"])
+    def test_blank_header_line(self, tmp_path, text):
+        # csv reads a blank line as no cells: not a table of zero columns
+        path = tmp_path / "blank.csv"
+        path.write_text(text)
+        with pytest.raises(MalformedFile, match="blank header line") as exc:
+            read_table(path)
+        assert exc.value.line == 1
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(MalformedFile):
             read_table(tmp_path / "nope.csv")
@@ -354,6 +364,39 @@ class TestModelFiles:
         path = tmp_path / "m.json"
         save_model(path, doc)
         with pytest.raises(MalformedFile, match=f"{key} must be an integer"):
+            load_model(path)
+        assert cli_main(["rank", "--model", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("key, value", [
+        ("sigma2", True), ("alpha", True), ("center_r", False), ("beta", [True]),
+        ("sigma2", "0.5"), ("S", [["1"], ["1"]]), ("center_x", [False, True]),
+        ("tau2", None), ("W", [[0.5], 0.5]), ("beta", 0.5),
+    ], ids=["sigma2-bool", "alpha-bool", "center_r-bool", "beta-bool", "sigma2-string",
+            "S-strings", "center_x-bools", "tau2-null", "W-ragged", "beta-scalar"])
+    def test_number_field_not_json_numbers(self, tmp_path, rng, capsys, key, value):
+        # float() and numpy read true as 1.0 and "0.5" as 0.5; neither is a JSON number
+        doc = model_to_dict(random_params(rng, 2, 1), np.zeros(2), 0.0, 1.0, {},
+                            feature_names=["a", "b"])
+        doc[key] = value
+        path = tmp_path / "m.json"
+        save_model(path, doc)
+        with pytest.raises(MalformedFile, match=f"{key} must be a"):
+            load_model(path)
+        table = tmp_path / "in.csv"
+        write_table(table, np.ones((3, 2)), ["a", "b"])
+        assert cli_main(["rank", "--model", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+        assert cli_main(["predict", "--model", str(path), "--input", str(table),
+                         "--out", str(tmp_path / "p.csv")]) == 2
+        assert f"{key} must be a" in capsys.readouterr().err
+
+    def test_integer_too_large_for_a_float(self, tmp_path, rng, capsys):
+        # a JSON number, but float() overflows on it: OverflowError, not ValueError
+        doc = model_to_dict(random_params(rng, 2, 1), np.zeros(2), 0.0, 1.0, {})
+        doc["sigma2"] = 10 ** 400
+        path = tmp_path / "m.json"
+        save_model(path, doc)
+        with pytest.raises(MalformedFile, match="invalid model document"):
             load_model(path)
         assert cli_main(["rank", "--model", str(path), "--out", str(tmp_path / "r.csv")]) == 2
         capsys.readouterr()

@@ -163,7 +163,7 @@ class TestFactor:
     def test_bits_equal_numpy_linalg(self, rng, p, d, sigma2):
         for _ in range(5):
             U = rng.standard_normal((p, 2 * d)) * rng.uniform(0.1, 10.0)
-            V, Li, logdet = model._factor(U, sigma2, "M")
+            V, Li, logdet, _ = model._factor(U, sigma2, "M")
             M = U.T @ U + sigma2 * np.eye(2 * d)
             L = np.linalg.cholesky(M)
             Li_ref = np.linalg.inv(L)
@@ -355,6 +355,42 @@ class TestGradients:
                                 ref):
                     err = np.max(np.abs(np.subtract(a, b))) / np.max(np.abs(b))
                     assert err <= 1e-7, (n, m, p, d, err)
+
+    def test_matches_60_digit_reference_at_near_noiseless_response(self, rng):
+        # r = X v up to 1e-6: X'e = X'r - G c cancels to about 1e-6 of X'r; a large W
+        # and small variances make the predictive variance s small (1e-8 to 1e-4), so
+        # w / s, the term X'e reaches, weighs in each block
+        for n, m, p, d in ((6, 3, 4, 2), (5, 4, 3, 1)):
+            for _ in range(3):
+                params = random_params(rng, p, d)
+                params = replace(params, W=10.0 * params.W, sigma2=1e-4, tau2=1e-8)
+                data = random_dataset(rng, n, m, p)
+                r = data.X @ build_workspace(params).pred_coef + 1e-6 * rng.standard_normal(n)
+                data = Dataset(X=data.X, r=r, Y=data.Y)
+                ref_ll, ref = mp_reference(params, data)
+                ll, grad = log_likelihood_and_grad(params, data)
+                assert abs(ll - ref_ll) <= 1e-7 * abs(ref_ll)
+                for a, b in zip((grad.dS, grad.dW, grad.dbeta, grad.dsigma2, grad.dtau2),
+                                ref):
+                    err = np.max(np.abs(np.subtract(a, b))) / np.max(np.abs(b))
+                    assert err <= 1e-7, (n, m, p, d, err)
+
+    def test_background_factor_reads_no_w_bits(self, rng):
+        # n = 0 leaves only the background term, which P's factor (the leading block
+        # of Q's) computes from S alone.  With W in span(S), L_Q^-1's upper-right
+        # block is often nonzero by rounding, so a factor read from L_Q^-1 or V_Q
+        # would carry W's bits
+        for _ in range(10):
+            params = random_params(rng, 6, 2)
+            data = random_dataset(rng, 0, 7, 6)
+            results = []
+            for _ in range(2):
+                aligned = replace(params, W=params.S @ rng.standard_normal((2, 2)))
+                results.append(log_likelihood_and_grad(aligned, data))
+                assert np.all(results[-1][1].dW == 0.0)
+            (ll_a, g_a), (ll_b, g_b) = results
+            assert ll_a == ll_b
+            assert np.array_equal(g_a.dS, g_b.dS) and g_a.dsigma2 == g_b.dsigma2
 
     def test_finite_diff_second_order_convergence(self, rng):
         params = random_params(rng, 4, 2)

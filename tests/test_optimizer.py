@@ -12,9 +12,9 @@ from contrareg import (Dataset, DegenerateData, FitConfig, GenConfig,
                        build_workspace, fit, generate, generate_lines, initialize,
                        latent_posterior, pca_linear_baseline, predict, r_squared)
 from contrareg import optimizer
-from contrareg.model import _pack, _unpack, log_likelihood_and_grad
+from contrareg.model import _pack, _unpack, log_likelihood_and_grad, predict_rows
 
-from conftest import svd_loadings
+from conftest import random_params, svd_loadings, traced_peak
 
 
 def _params_equal(a, b):
@@ -493,6 +493,33 @@ class TestFit:
         means, var = result.predict(result.center_x[None, :])
         assert means[0] == pytest.approx(result.center_r, abs=1e-12)
         assert var >= result.params.tau2
+
+    def test_predictive_map_built_once_and_rows_keep_their_bits(self, monkeypatch):
+        data, _ = generate(GenConfig(n=120, m=50, p=6, d=2, seed=4))
+        result = fit(data, FitConfig(d=2, max_iter=30, restarts=0, seed=4))
+        calls = []
+        monkeypatch.setattr(optimizer, "build_workspace",
+                            lambda params: calls.append(params) or build_workspace(params))
+        rows = [result.predict(data.X[i:i + 1]) for i in range(100)]
+        assert calls == [result.params]
+        means, var = result.predict(data.X[:100])
+        assert len(calls) == 1
+        # each mean is its own dot product, whatever rows are predicted with it
+        assert np.array_equal(np.concatenate([m for m, _ in rows]), means)
+        assert all(v == var for _, v in rows)
+
+    def test_predict_rows_in_blocks_hold_no_copy_of_x(self, rng):
+        # 2000 rows, as the lines benchmark scores: the cached map is applied block by block
+        params = random_params(rng, 784, 2)
+        result = optimizer.FitResult(params=params, center_x=rng.standard_normal(784),
+                                     center_r=1.5, ll_trace=[0.0], converged=True,
+                                     best_restart=0, wall_time_seconds=0.0, grad_inf_norm=0.0)
+        X = rng.standard_normal((2000, 784))
+        result.predict(X[:1])                       # builds the map outside the trace
+        (means, var), peak = traced_peak(lambda: result.predict(X))
+        assert peak <= 0.25 * X.nbytes
+        want, want_var = predict_rows(params, X, result.center_x, 1.5)
+        assert np.array_equal(means, want) and var == want_var
 
     def test_no_foreground_rejected(self, rng):
         data = Dataset(X=np.zeros((0, 3)), r=np.zeros(0),
