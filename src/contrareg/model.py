@@ -30,7 +30,10 @@ reuses the foreground's products: with v = V_Q c its residual is
 e = r - (X V_Q) c and X'e = X'r - X'(X V_Q) c.  Q is factored for every use
 (build_workspace); P's Cholesky factor is the leading d x d block of Q's,
 which depends on sigma2 I + S'S alone, inverted on its own where the
-background term is weighted in (_evaluate with alpha > 0).  An evaluation
+background term is weighted in (_evaluate with alpha > 0).  _evaluate
+reads Q's factor as a tuple from build_workspace's body and builds no
+Workspace, and it writes the gradient once, into a new packed vector per
+call, through views of its S, W and beta blocks.  An evaluation
 costs O((n + m) p d) time and O((n + m) d + p d) memory beyond the data;
 neither a p x p nor an n x p matrix is formed.  The one exception is a
 Gaussian whose U has p or more columns (p <= 2d, so Z is n x 2d at most):
@@ -182,8 +185,9 @@ class Workspace:
     restricted to the W block, and P^-1 W A beta = Q^-1 W beta.  pred_coef
     is that vector v, with predictive mean v' x; pred_var is the
     (x-independent) predictive variance tau2 + beta' A beta.  Building one
-    costs O(p d^2 + d^3).  P's factor is read only by the background term,
-    so _evaluate takes it there from L_Q, which _workspace returns beside.
+    costs O(p d^2 + d^3).  _evaluate reads the same fields as a tuple from
+    _workspace, which builds no Workspace, with L_Q beside them: P's factor
+    is read only by the background term, which takes it there from L_Q.
     """
 
     U: np.ndarray          # p x 2d, [S W]
@@ -297,14 +301,16 @@ def _inverse_factor(U, L, s2, label):
 def build_workspace(params: ModelParams) -> Workspace:
     """Small factor of Q, A and the prediction cache for a parameter value."""
     with np.errstate(all="ignore"):          # overflow and a failed factor raise below
-        return _workspace(params)[0]
+        return Workspace(*_workspace(params)[0])
 
 
 def _workspace(params):
     """build_workspace's body, for a caller already under np.errstate(all="ignore").
 
-    Returns the Workspace and the Cholesky factor L_Q of sigma2 I + U'U,
-    whose leading d x d block is P's factor.
+    Returns two tuples: Workspace's fields in their order, and the Cholesky
+    factor L_Q of sigma2 I + U'U (its leading d x d block is P's factor),
+    c = L_Q^-1 restricted to the W block times beta (pred_coef = V_Q c) and
+    A beta.  _evaluate reads them without building a Workspace.
     """
     # construction allows zero variances (a noiseless truth); the likelihood divides by them
     if not (params.sigma2 > 0.0 and params.tau2 > 0.0):
@@ -317,10 +323,11 @@ def _workspace(params):
 
     Li_W = Li_Q[:, d:]                         # L_Q^-1 restricted to the W block
     A = s2 * (Li_W.T @ Li_W)
-    pred_var = params.tau2 + float(beta @ (A @ beta))
-    pred_coef = V_Q @ (Li_W @ beta)
-    return Workspace(U=U, Li_Q=Li_Q, V_Q=V_Q, A=A, logdet_Q=logdet_Q,
-                     pred_var=pred_var, pred_coef=pred_coef), L_Q
+    Ab = A @ beta
+    pred_var = params.tau2 + float(beta @ Ab)
+    c = Li_W @ beta
+    pred_coef = V_Q @ c
+    return (U, Li_Q, V_Q, A, logdet_Q, pred_var, pred_coef), (L_Q, c, Ab)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +386,8 @@ def _evaluate(params, data, alpha, want_grad, constants=None):
     constants is _data_constants(data, ...) where the caller evaluates the
     same data many times, as fit does; without it they are computed here.
     Returns (ll, None), or with want_grad (ll, g): g is the gradient packed as
-    _pack lays theta out, on the natural scale (d/dsigma2 and d/dtau2 last).
+    _pack lays theta out, on the natural scale (d/dsigma2 and d/dtau2 last),
+    a new vector on every call, which the caller may keep and scale in place.
 
     log p = log N(X; 0, Q) + log N(r | X) + alpha log N(Y; 0, P), with both
     Gaussian terms from _gaussian.  r | x is N(v' x, s), v = pred_coef =
@@ -394,18 +402,16 @@ def _evaluate(params, data, alpha, want_grad, constants=None):
     np.errstate(all="ignore") around the call, so neither shows as a
     floating-point warning.
     """
-    ws, L_Q = _workspace(params)
-    d = params.d
+    # v = pred_coef = Q^-1 W beta = P^-1 W A beta = V_Q c
+    (U, Li_Q, V_Q, _, logdet_Q, pred_var, v), (L_Q, c, Ab) = _workspace(params)
+    p, d = params.S.shape
     s2 = np.float64(params.sigma2)
-    beta = params.beta
     n = data.n
-    v = ws.pred_coef                               # Q^-1 W beta = P^-1 W A beta
-    s = np.float64(ws.pred_var)                    # tau2 + beta' A beta
+    s = np.float64(pred_var)                       # tau2 + beta' A beta
     use_bg = alpha > 0.0 and data.m > 0
     quad_x, quad_y, Xr = _data_constants(data, use_bg) if constants is None else constants
 
-    ll, gx, XV, G = _gaussian(data.X, quad_x, ws.V_Q, ws.Li_Q, ws.logdet_Q, s2, want_grad)
-    c = ws.Li_Q[:, d:] @ beta                      # v = V_Q c
+    ll, gx, XV, G = _gaussian(data.X, quad_x, V_Q, Li_Q, logdet_Q, s2, want_grad)
     e = data.r - XV @ c
     E2 = e @ e
     ll += -0.5 * (n * (np.log(s) + LOG_2PI) + E2 / s)
@@ -420,19 +426,25 @@ def _evaluate(params, data, alpha, want_grad, constants=None):
 
     dU, dsigma2 = gx
     Xe = Xr - G @ c                                # X'e without a pass over X
-    VXe = ws.V_Q.T @ Xe
-    w = (Xe - ws.V_Q @ VXe) / s2                   # Q^-1 X' e
-    wU = ws.Li_Q.T @ VXe                           # U' w
+    VXe = V_Q.T @ Xe
+    w = (Xe - V_Q @ VXe) / s2                      # Q^-1 X' e
+    wU = Li_Q.T @ VXe                              # U' w
     kappa = (E2 / s - n) / (2.0 * s)               # d ll / d s
-    # the regression term reaches U through Q in v and in s
-    dU += (2.0 * kappa * v - w / s)[:, None] * (ws.U.T @ v) - v[:, None] * wU / s
+    # the regression term reaches U through Q in v and in s, and W also through W beta
+    t = 2.0 * kappa * v - w / s
+    dU += t[:, None] * (U.T @ v) - v[:, None] * wU / s
     dsigma2 += kappa * (v @ v) - (w @ v) / s
+    # the packed gradient is written once, a new vector per call: its blocks are views
+    g = np.empty(2 * p * d + d + 2)
+    dS, dW, dbeta = _blocks(g, p, d)
     if use_bg:
-        dU[:, :d] += alpha * gy[0]
+        np.add(dU[:, :d], alpha * gy[0], out=dS)
         dsigma2 += alpha * gy[1]
-    dW = dU[:, d:] + (w / s - 2.0 * kappa * v)[:, None] * beta
-    dbeta = 2.0 * kappa * (ws.A @ beta) + wU[d:] / s
-    g = np.concatenate([dU[:, :d].ravel(), dW.ravel(), dbeta, [dsigma2, kappa]])
+    else:
+        dS[...] = dU[:, :d]
+    np.subtract(dU[:, d:], t[:, None] * params.beta, out=dW)
+    np.add(2.0 * kappa * Ab, wU[d:] / s, out=dbeta)
+    g[-2:] = dsigma2, kappa
     if not np.isfinite(g).all():
         raise FactorizationError("gradient is not finite (noise-variance underflow)")
     return ll, g

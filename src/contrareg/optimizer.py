@@ -20,7 +20,11 @@ calls than in arithmetic, so the solver keeps their number down.  The
 compact form takes a few matrix calls and one small triangular inverse,
 where the two-loop recursion (Nocedal 1980) took four calls per pair; it
 is the same matrix with other rounding, and tests/test_optimizer.py holds
-it to the recursion.  That inverse, like model._factor's factors, calls
+it to the recursion.  The pairs are kept in place, in two preallocated
+_MEMORY-row buffers that shift by one row once full, and R's upper
+triangle comes from a cached 0/1 mask per pair count: an iteration stacks
+no arrays and builds no mask, with the bits that stacking and np.triu
+gave.  That inverse, like model._factor's factors, calls
 the LAPACK gufunc behind np.linalg.inv without the wrapper, whose checks
 cost more than the arithmetic; tests/test_model.py::TestFactor pins the
 bits against np.linalg.  The problem is one value, _Objective: the
@@ -65,6 +69,8 @@ _PATIENCE = 3           # adaptive_moment: consecutive small relative changes be
 _OVERSAMPLE = 10        # pca_warm_start: sketch columns beyond d
 _POWER_PASSES = 5       # pca_warm_start: subspace-iteration passes over the data
 _SKETCH_SEED = 0x5EED   # pca_warm_start: the test matrix's seed, the same for every fit
+# R's 0/1 upper-triangle mask for each pair count, so no direction builds one
+_UPPER = [np.triu(np.ones((j, j))) for j in range(_MEMORY + 1)]
 
 
 @dataclass(frozen=True)
@@ -248,10 +254,12 @@ def _lbfgs_direction(g, S, Y):
 
     That is the matrix of the two-loop recursion (Nocedal & Wright,
     Alg. 7.4), rounded differently, in a few matrix calls; the recursion is
-    kept as the test oracle.
+    kept as the test oracle.  R is S Y' times _UPPER's 0/1 mask for len(S)
+    pairs: it differs from np.triu(S Y') only in the sign of zeros below the
+    diagonal, and _inv returns the same bits for both.
     """
     SY = S @ Y.T
-    Ri = _inv(np.triu(SY))
+    Ri = _inv(SY * _UPPER[len(S)])
     gamma = SY[-1, -1] / (Y[-1] @ Y[-1])
     q = Ri @ (S @ g)
     h = g - Y.T @ q
@@ -259,21 +267,24 @@ def _lbfgs_direction(g, S, Y):
 
 
 def _stationary(g, ll, tol, n):
-    return np.max(np.abs(g)) <= tol * max(1.0, abs(ll)) / n
+    return np.abs(g).max() <= tol * max(1.0, abs(ll)) / n
 
 
 def _run_line_search(fun, theta, ll, g, config, n):
     trace = [ll]
-    S = Y = np.empty((0, theta.size))          # curvature pairs as rows, oldest first
+    # the curvature pairs are the first j rows, oldest first; a new pair takes the
+    # next free row, or the last one after a shift by one row when all are taken
+    S, Y = np.empty((_MEMORY, theta.size)), np.empty((_MEMORY, theta.size))
+    j = 0
     converged = _stationary(g, ll, config.tol, n)
     while not converged and len(trace) <= config.max_iter:
-        direction = _lbfgs_direction(g, S, Y) if len(S) else g
+        direction = _lbfgs_direction(g, S[:j], Y[:j]) if j else g
         slope = g @ direction
         if slope <= 0.0:
             # not an ascent direction: restart from steepest ascent
-            S = Y = S[:0]
+            j = 0
             direction, slope = g, g @ g
-        st = 1.0 if len(S) else 1.0 / max(1.0, np.linalg.norm(g))
+        st = 1.0 if j else 1.0 / max(1.0, np.linalg.norm(g))
         while st >= _STEP_MIN:
             cand = theta + st * direction
             ll_c, g_c = fun(cand)
@@ -286,7 +297,11 @@ def _run_line_search(fun, theta, ll, g, config, n):
             break
         s, y = cand - theta, g - g_c
         if s @ y > 1e-10 * (y @ y):
-            S, Y = np.vstack([S, s])[-_MEMORY:], np.vstack([Y, y])[-_MEMORY:]
+            if j == _MEMORY:
+                S[:-1], Y[:-1] = S[1:], Y[1:]
+                j -= 1
+            S[j], Y[j] = s, y
+            j += 1
         stalled = abs(ll_c - ll) <= _STALL * (abs(ll) + 1.0)
         theta, ll, g = cand, ll_c, g_c
         trace.append(ll)
@@ -338,7 +353,8 @@ class _Objective:
     whose exp overflows, a failed factor or a non-finite gradient is a
     failed trial (-inf, None), not a warning.  g is _evaluate's packed
     gradient with its sigma2 and tau2 entries scaled in place to the log
-    scale.  _evaluate is looked up as a module global at each call, so a
+    scale, a new vector per call: the line search holds g and a trial's g_c
+    at once.  _evaluate is looked up as a module global at each call, so a
     hook set there sees every call.
     """
 

@@ -12,7 +12,7 @@ from contrareg import (Dataset, DegenerateData, FitConfig, GenConfig,
                        build_workspace, fit, generate, generate_lines, initialize,
                        latent_posterior, pca_linear_baseline, predict, r_squared)
 from contrareg import optimizer
-from contrareg.model import _pack, _unpack, log_likelihood_and_grad, predict_rows
+from contrareg.model import _inv, _pack, _unpack, log_likelihood_and_grad, predict_rows
 
 from conftest import random_params, svd_loadings, traced_peak
 
@@ -157,6 +157,16 @@ def _two_loop_direction(g, pairs):
     return q
 
 
+def _triu_direction(g, S, Y):
+    """The compact form with R from np.triu: _lbfgs_direction's oracle for its R mask."""
+    SY = S @ Y.T
+    Ri = _inv(np.triu(SY))
+    gamma = SY[-1, -1] / (Y[-1] @ Y[-1])
+    q = Ri @ (S @ g)
+    h = g - Y.T @ q
+    return gamma * h + S.T @ (Ri.T @ (SY.diagonal() * q - gamma * (Y @ h)))
+
+
 class TestLineSearch:
     @pytest.mark.parametrize("k", range(1, 11))
     def test_compact_direction_matches_two_loop(self, rng, k):
@@ -170,6 +180,60 @@ class TestLineSearch:
             ref = _two_loop_direction(g, list(zip(S, Y)))
             got = optimizer._lbfgs_direction(g, S, Y)
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("j", range(1, 11))
+    def test_masked_r_has_the_bits_of_triu(self, rng, j):
+        # R's mask leaves -0.0 below the diagonal where np.triu leaves 0.0; the
+        # inverse and the direction have the same bits either way
+        B = rng.standard_normal((84, 84))
+        A = B @ B.T / 84 + 0.1 * np.eye(84)
+        for _ in range(10):
+            S = rng.standard_normal((j, 84))
+            Y = S @ A
+            g = rng.standard_normal(84)
+            SY = S @ Y.T
+            masked = SY * optimizer._UPPER[j]
+            assert np.array_equal(masked, np.triu(SY))
+            assert _inv(masked).tobytes() == _inv(np.triu(SY)).tobytes()
+            assert (optimizer._lbfgs_direction(g, S, Y).tobytes()
+                    == _triu_direction(g, S, Y).tobytes())
+
+    def test_pairs_kept_in_place_match_stacked_pairs(self, monkeypatch, rng):
+        # a concave quadratic, run for more than _MEMORY accepted steps: every
+        # direction has the bits of one built from the same pairs stacked with
+        # np.vstack, oldest dropped, as the pairs were kept before
+        k = 30
+        B = rng.standard_normal((k, k))
+        A = B @ B.T / k + 0.01 * np.eye(k)
+        b = rng.standard_normal(k)
+        trials, calls = [], []
+        inner = optimizer._lbfgs_direction
+
+        def fun(theta):
+            g = b - A @ theta
+            trials.append((theta, g))
+            return b @ theta - 0.5 * theta @ (A @ theta), g
+
+        def spy(g, S, Y):
+            direction = inner(g, S, Y)
+            calls.append((g, len(S), direction))
+            return direction
+
+        monkeypatch.setattr(optimizer, "_lbfgs_direction", spy)
+        theta0 = np.zeros(k)
+        optimizer._run_line_search(fun, theta0, 0.0, b.copy(), FitConfig(d=1, tol=1e-15,
+                                                                          max_iter=25), n=1)
+        assert len(calls) == 24
+        assert [count for _, count, _ in calls] == [min(i + 1, optimizer._MEMORY)
+                                                    for i in range(24)]
+        # each call's g is the gradient at the iterate it was evaluated at
+        points = [(theta0, b)] + [next((th, gr) for th, gr in trials if gr is g)
+                                  for g, _, _ in calls]
+        S = Y = np.empty((0, k))
+        for (theta, g), (cand, g_c), (_, _, direction) in zip(points, points[1:], calls):
+            S = np.vstack([S, cand - theta])[-optimizer._MEMORY:]
+            Y = np.vstack([Y, g - g_c])[-optimizer._MEMORY:]
+            assert direction.tobytes() == inner(g_c, S, Y).tobytes()
 
     def _scripted(self, monkeypatch, answers, max_iter, downhill_first=False):
         """Run the line search from theta = 0, g = (1, 0) on an objective that
@@ -403,6 +467,18 @@ class TestFit:
                                                       grad.dbeta]))
         assert g[-2] == params.sigma2 * grad.dsigma2 and g[-1] == params.tau2 * grad.dtau2
         assert np.count_nonzero(g) == g.size
+
+    def test_each_call_returns_its_own_gradient(self):
+        # the solver holds g and the trial's g_c at once (y = g - g_c), so no call
+        # may write into a gradient an earlier call returned
+        data, _ = generate(GenConfig(n=40, m=30, p=5, d=2, seed=21))
+        objective = optimizer._Objective(data, 1.0, 2)
+        theta = _pack(initialize(objective.data, FitConfig(d=2, seed=21)))
+        _, g1 = objective(theta)
+        kept = g1.copy()
+        _, g2 = objective(theta + 0.1)
+        assert not np.shares_memory(g1, g2)
+        assert np.array_equal(g1, kept) and not np.array_equal(g1, g2)
 
     def test_p_much_larger_than_n(self):
         # p = 20 000: one dense p x p matrix would take 3.2 GB
